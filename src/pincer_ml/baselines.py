@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputMismatch, InvalidMinsup
-from .itemsets import Itemset, apriori_prune, join
+from .itemsets import apriori_prune, join, to_items
 from .multilevel import LevelConfig, MultiLevelResult
 from .rules import FrequentSet
 from .taxonomy import ItemCode, generalize
@@ -43,12 +43,12 @@ def apriori(matrix: LevelMatrix, minsup: int, counter: PassCounter) -> AprioriRe
     if minsup < 1:
         raise InvalidMinsup(f"minsup must be at least 1, got {minsup}")
     start = counter.passes
-    found: dict[Itemset, int] = {}
+    found: dict[int, int] = {}
     trace: list[AprioriPassStats] = []
     if matrix.n_transactions == 0:
-        candidates: set[Itemset] = set()
+        candidates: set[int] = set()
     else:
-        candidates = {(i,) for i in range(len(matrix.vocabulary))}
+        candidates = {1 << i for i in range(len(matrix.vocabulary))}
     k = 1
     while candidates:
         counts = count_many(matrix, candidates, counter)
@@ -65,7 +65,8 @@ def apriori(matrix: LevelMatrix, minsup: int, counter: PassCounter) -> AprioriRe
         survivors = set(level_frequent)
         candidates = apriori_prune(join(survivors), survivors)
         k += 1
-    ordered = sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    results = ((to_items(s), c) for s, c in found.items())
+    ordered = sorted(results, key=lambda kv: (len(kv[0]), kv[0]))
     frequent = tuple(
         FrequentSet(s, c, matrix.n_transactions) for s, c in ordered
     )

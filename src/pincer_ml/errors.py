@@ -29,6 +29,10 @@ class BadHeader(MiningError):
     """A CSV input file does not start with the expected header row."""
 
 
+class BadRow(MiningError):
+    """A CSV data row does not have one cell per header column."""
+
+
 class LevelOutOfRange(MiningError):
     """A depth argument falls outside the taxonomy's level range."""
 

@@ -1,16 +1,18 @@
 """Itemset algebra for the bidirectional search.
 
-An itemset is a strictly increasing tuple of vocabulary indices.  The
-bottom-up side grows candidates by prefix joins; the top-down side keeps
-a :class:`BorderState`: ``mfcs`` is the antichain of largest sets that
-could still be frequent given every infrequent set seen so far, and
-``mfs`` is the antichain of sets already certified frequent and maximal.
+Inside the engine an itemset is an ``int`` mask, bit ``i`` for
+vocabulary index ``i``, so ``a & ~b == 0`` is the subset test; results
+use the index tuple :data:`Itemset`.  The bottom-up side grows candidates
+by prefix joins; the top-down side keeps a :class:`BorderState`:
+``mfcs`` is the antichain of largest sets that could still be frequent
+given every infrequent set seen so far, and ``mfs`` is the antichain of
+sets already certified frequent and maximal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, FrozenSet, Iterable
+from typing import Collection, FrozenSet, Iterable, Iterator
 
 from .errors import MixedSizes
 
@@ -19,22 +21,39 @@ Itemset = tuple[int, ...]
 
 def itemset(items: Iterable[int]) -> Itemset:
     """Normalize an iterable of indices into a sorted duplicate-free tuple."""
-    return tuple(sorted(set(items)))
+    return to_items(to_mask(items))
 
 
-def _is_subset(small: Itemset, big: Itemset) -> bool:
-    return set(small) <= set(big)
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _uniform_size(sets: Collection[Itemset], label: str) -> int:
-    sizes = {len(s) for s in sets}
+def to_mask(items: Iterable[int]) -> int:
+    """The mask with a bit set for each index in ``items``."""
+    mask = 0
+    for i in items:
+        mask |= 1 << i
+    return mask
+
+
+def to_items(mask: int) -> Itemset:
+    """The index tuple of ``mask``."""
+    return tuple(bits(mask))
+
+
+def _uniform_size(sets: Collection[int], label: str) -> int:
+    sizes = {s.bit_count() for s in sets}
     if len(sizes) > 1:
         raise MixedSizes(f"{label} mixes itemset sizes {sorted(sizes)}")
     return sizes.pop() if sizes else 0
 
 
-def join(frequent_k: Collection[Itemset]) -> set[Itemset]:
-    """Merge pairs of k-itemsets sharing their first k-1 items.
+def join(frequent_k: Collection[int]) -> set[int]:
+    """Merge pairs of k-itemsets sharing their k-1 lowest items.
 
     Produces the classic (k+1)-candidate pool; for k = 1 the shared
     prefix is empty, so every pair of items joins.
@@ -42,20 +61,17 @@ def join(frequent_k: Collection[Itemset]) -> set[Itemset]:
     size = _uniform_size(frequent_k, "join input")
     if size == 0:
         return set()
-    by_prefix: dict[Itemset, list[Itemset]] = {}
+    by_prefix: dict[int, list[int]] = {}
     for s in frequent_k:
-        by_prefix.setdefault(s[:-1], []).append(s)
-    out: set[Itemset] = set()
+        by_prefix.setdefault(s ^ (1 << (s.bit_length() - 1)), []).append(s)
+    out: set[int] = set()
     for group in by_prefix.values():
-        group.sort()
         for a, b in combinations(group, 2):
-            out.add(a + (b[-1],))
+            out.add(a | b)
     return out
 
 
-def apriori_prune(
-    candidates: Collection[Itemset], frequent_k: Collection[Itemset]
-) -> set[Itemset]:
+def apriori_prune(candidates: Collection[int], frequent_k: Collection[int]) -> set[int]:
     """Drop candidates with any k-subset missing from ``frequent_k``."""
     cand_size = _uniform_size(candidates, "candidates")
     freq_size = _uniform_size(frequent_k, "frequent sets")
@@ -65,9 +81,9 @@ def apriori_prune(
             f"frequent sets of size {freq_size}"
         )
     known = set(frequent_k)
-    out: set[Itemset] = set()
+    out: set[int] = set()
     for c in candidates:
-        if all(c[:i] + c[i + 1 :] in known for i in range(len(c))):
+        if all(c ^ (1 << i) in known for i in bits(c)):
             out.add(c)
     return out
 
@@ -76,11 +92,11 @@ def apriori_prune(
 class BorderState:
     """The two antichains bounding the unresolved search region."""
 
-    mfcs: FrozenSet[Itemset]
-    mfs: FrozenSet[Itemset]
+    mfcs: FrozenSet[int]
+    mfs: FrozenSet[int]
 
 
-def mfcs_gen(state: BorderState, infrequent: Collection[Itemset]) -> BorderState:
+def mfcs_gen(state: BorderState, infrequent: Collection[int]) -> BorderState:
     """Splinter the candidate border around newly found infrequent sets.
 
     Every border member containing an infrequent set ``s`` is replaced
@@ -90,40 +106,38 @@ def mfcs_gen(state: BorderState, infrequent: Collection[Itemset]) -> BorderState
     dropped, as is anything that ends up inside a certified maximal
     frequent set — its support is no longer in question.
     """
-    members: list[Itemset] = sorted(state.mfcs)
+    members = sorted(state.mfcs)
     mfs = state.mfs
     for s in sorted(infrequent):
-        s_set = set(s)
-        survivors: list[Itemset] = []
-        split: list[Itemset] = []
+        survivors: list[int] = []
+        split: list[int] = []
         for m in members:
-            (split if s_set <= set(m) else survivors).append(m)
+            (split if s & ~m == 0 else survivors).append(m)
         for m in split:
-            for e in s:
-                piece = tuple(x for x in m if x != e)
+            for e in bits(s):
+                piece = m ^ (1 << e)
                 if not piece:
                     continue
-                if any(_is_subset(piece, other) for other in survivors):
+                if any(piece & ~other == 0 for other in survivors):
                     continue
-                if any(_is_subset(piece, f) for f in mfs):
+                if any(piece & ~f == 0 for f in mfs):
                     continue
                 survivors.append(piece)
         members = survivors
-    unique = set(members)
     maximal = frozenset(
         m
-        for m in unique
-        if not any(m != other and _is_subset(m, other) for other in unique)
-        and not any(_is_subset(m, f) for f in mfs)
+        for m in members
+        if not any(m != other and m & ~other == 0 for other in members)
+        and not any(m & ~f == 0 for f in mfs)
     )
     return BorderState(maximal, mfs)
 
 
 def recover(
-    candidates: Collection[Itemset],
-    frequent_k: Collection[Itemset],
-    mfs: Collection[Itemset],
-) -> set[Itemset]:
+    candidates: Collection[int],
+    frequent_k: Collection[int],
+    mfs: Collection[int],
+) -> set[int]:
     """Re-add join candidates hidden inside certified maximal sets.
 
     For each frequent k-set lying inside a maximal frequent set, every
@@ -132,27 +146,25 @@ def recover(
     """
     out = set(candidates)
     for l in frequent_k:
-        l_set = set(l)
+        top = l.bit_length()
         for m in mfs:
-            if l_set <= set(m):
-                for e in m:
-                    if e > l[-1]:
-                        out.add(l + (e,))
+            if l & ~m == 0:
+                out.update(l | (1 << e) for e in bits(m >> top << top))
     return out
 
 
-def pincer_prune(candidates: Collection[Itemset], state: BorderState) -> set[Itemset]:
+def pincer_prune(candidates: Collection[int], state: BorderState) -> set[int]:
     """Keep only candidates whose support is still genuinely unknown.
 
     A candidate outside every ``mfcs`` member is provably infrequent; a
     candidate inside some ``mfs`` member is provably frequent.  Neither
     needs counting.
     """
-    out: set[Itemset] = set()
+    out: set[int] = set()
     for c in candidates:
-        if not any(_is_subset(c, m) for m in state.mfcs):
+        if not any(c & ~m == 0 for m in state.mfcs):
             continue
-        if any(_is_subset(c, f) for f in state.mfs):
+        if any(c & ~f == 0 for f in state.mfs):
             continue
         out.add(c)
     return out

@@ -23,6 +23,7 @@ from .itemsets import (
     mfcs_gen,
     pincer_prune,
     recover,
+    to_items,
 )
 from .taxonomy import ItemCode
 from .transactions import LevelMatrix, PassCounter, count_many
@@ -59,13 +60,12 @@ class PincerResult:
     vocabulary: tuple[ItemCode, ...]
 
 
-def _insert_maximal(mfs: dict[Itemset, int], candidate: Itemset, support: int) -> None:
+def _insert_maximal(mfs: dict[int, int], candidate: int, support: int) -> None:
     """Insert into the maximal antichain, absorbing dominated members."""
-    cand_set = set(candidate)
     for member in mfs:
-        if cand_set <= set(member):
+        if candidate & ~member == 0:
             return
-    for member in [m for m in mfs if set(m) <= cand_set]:
+    for member in [m for m in mfs if m & ~candidate == 0]:
         del mfs[member]
     mfs[candidate] = support
 
@@ -91,11 +91,11 @@ def pincer_search(
         return PincerResult({}, frozenset(), PincerTrace((), 0), matrix.vocabulary)
 
     start = counter.passes
-    support: dict[Itemset, int] = {}
-    infrequent_seen: set[Itemset] = set()
-    mfs: dict[Itemset, int] = {}
-    mfcs: frozenset[Itemset] = frozenset({tuple(range(n_items))})
-    candidates: set[Itemset] = {(i,) for i in range(n_items)}
+    support: dict[int, int] = {}
+    infrequent_seen: set[int] = set()
+    mfs: dict[int, int] = {}
+    mfcs: frozenset[int] = frozenset({(1 << n_items) - 1})
+    candidates: set[int] = {1 << i for i in range(n_items)}
     steps: list[PassStats] = []
     k = 1
 
@@ -116,7 +116,7 @@ def pincer_search(
 
         frequent_k = {c for c in candidates if support[c] >= minsup}
         infrequent_k = candidates - frequent_k
-        splitters = infrequent_k | set(mfcs)
+        splitters = infrequent_k | mfcs
         infrequent_seen.update(splitters)
         state = mfcs_gen(BorderState(mfcs, frozenset(mfs)), splitters)
         mfcs = state.mfcs
@@ -133,7 +133,8 @@ def pincer_search(
             )
         )
         if observer is not None:
-            observer(k, mfcs, frozenset(mfs), frozenset(infrequent_seen))
+            borders = (mfcs, mfs, infrequent_seen)
+            observer(k, *(frozenset(map(to_items, b)) for b in borders))
 
         candidates = pincer_prune(
             recover(
@@ -150,7 +151,8 @@ def pincer_search(
     for m in sorted(mfcs):
         _insert_maximal(mfs, m, support[m])
 
-    frequent_items = frozenset(i for member in mfs for i in member)
+    results = ((to_items(m), s) for m, s in mfs.items())
+    ordered = dict(sorted(results, key=lambda kv: (len(kv[0]), kv[0])))
+    frequent_items = frozenset(i for member in ordered for i in member)
     trace = PincerTrace(tuple(steps), counter.passes - start)
-    ordered = dict(sorted(mfs.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return PincerResult(ordered, frequent_items, trace, matrix.vocabulary)

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Collection, Iterable
 
 from .errors import InvalidConfidence, ItemsetTooLarge, MissingSubsetSupport
-from .itemsets import Itemset
+from .itemsets import Itemset, to_items, to_mask
 from .transactions import LevelMatrix, PassCounter, count_many
 
 MAX_EXPANSION_ITEMS = 24
@@ -51,22 +51,23 @@ def expand_frequent(
     Members wider than ``MAX_EXPANSION_ITEMS`` are refused rather than
     silently enumerating billions of subsets.
     """
-    subsets: set[Itemset] = set()
+    subsets: set[int] = set()
     for m in mfs:
         if len(m) > MAX_EXPANSION_ITEMS:
             raise ItemsetTooLarge(
                 f"maximal set of {len(m)} items has 2**{len(m)} subsets; "
                 f"the expansion limit is {MAX_EXPANSION_ITEMS} items"
             )
-        for size in range(1, len(m) + 1):
-            subsets.update(combinations(m, size))
+        mask = sub = to_mask(m)
+        while sub:
+            subsets.add(sub)
+            sub = (sub - 1) & mask
     if not subsets:
         return ()
     counts = count_many(matrix, subsets, counter)
-    ordered = sorted(subsets, key=lambda s: (len(s), s))
-    return tuple(
-        FrequentSet(s, counts[s], matrix.n_transactions) for s in ordered
-    )
+    found = ((to_items(s), c) for s, c in counts.items())
+    ordered = sorted(found, key=lambda kv: (len(kv[0]), kv[0]))
+    return tuple(FrequentSet(s, c, matrix.n_transactions) for s, c in ordered)
 
 
 def generate_rules(

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import (
     BadHeader,
     BadLength,
+    BadRow,
     BadSymbol,
     DanglingCode,
     DuplicateCode,
@@ -185,12 +186,17 @@ def _check_header(row: list[str] | None, expected: tuple[str, ...], path: Path) 
 
 
 def _csv_records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[str, str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         _check_header(next(reader, None), header, path)
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise BadRow(
+                    f"{path}, line {reader.line_num}: expected "
+                    f"{len(header)} cells, got {len(row)}"
+                )
             yield row[0].strip(), row[1].strip()
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Collection, Iterable
 
 from .errors import IndexOutOfRange, LevelOutOfRange, MiningError, UnknownItem
-from .itemsets import Itemset
+from .itemsets import Itemset, bits, to_mask
 from .taxonomy import ItemCode, Taxonomy, generalize
 from .taxonomy import _csv_records
 
@@ -110,12 +110,8 @@ class LevelMatrix:
         """Per-item transaction bitsets (bit t = row t has the item)."""
         cols = [0] * len(self.vocabulary)
         for t, row in enumerate(self.rows):
-            bit = 1 << t
-            remaining = row
-            while remaining:
-                j = (remaining & -remaining).bit_length() - 1
-                cols[j] |= bit
-                remaining &= remaining - 1
+            for j in bits(row):
+                cols[j] |= 1 << t
         return tuple(cols)
 
 
@@ -165,21 +161,26 @@ def count_support(matrix: LevelMatrix, items: Itemset) -> int:
     for i in items:
         if not 0 <= i < width:
             raise IndexOutOfRange(f"index {i} outside vocabulary of width {width}")
-    if not items:
+    return _support(matrix, to_mask(items))
+
+
+def _support(matrix: LevelMatrix, mask: int) -> int:
+    if not mask:
         return matrix.n_transactions
     acc = -1
-    for i in items:
+    for i in bits(mask):
         acc &= matrix.columns[i]
-    return (acc & ((1 << matrix.n_transactions) - 1)).bit_count()
+    return acc.bit_count()
 
 
 def count_many(
-    matrix: LevelMatrix, itemsets: Collection[Itemset], counter: PassCounter
-) -> dict[Itemset, int]:
-    """Count a whole collection in one sweep.
+    matrix: LevelMatrix, masks: Collection[int], counter: PassCounter
+) -> dict[int, int]:
+    """Count a whole collection of itemset masks in one sweep.
 
     Each call is exactly one database pass, whatever the collection
-    size; duplicate itemsets collapse to a single map entry.
+    size; duplicate masks collapse to a single map entry.  Unlike
+    :func:`count_support`, indices are not checked against the vocabulary.
     """
     counter.passes += 1
-    return {s: count_support(matrix, s) for s in set(itemsets)}
+    return {m: _support(matrix, m) for m in set(masks)}

@@ -286,3 +286,39 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run("--help")
         assert exc.value.code == 0
+
+
+class TestCsvInput:
+    FILES = ("bookstore_taxonomy.csv", "bookstore.csv")
+
+    def mine_files(self, taxonomy, transactions, out=None):
+        args = ["mine", "--taxonomy", taxonomy, "--transactions", transactions]
+        args += ["--minsup", "3,2,2"]
+        return run(*args, *(["--out", out] if out else []))
+
+    @pytest.mark.parametrize(
+        "name, bad_row",
+        [
+            ("bookstore_taxonomy.csv", "Z11"),
+            ("bookstore_taxonomy.csv", "Z11,Zebra book,extra"),
+            ("bookstore.csv", "T1"),
+            ("bookstore.csv", "T1,A11,extra"),
+        ],
+    )
+    def test_row_with_wrong_cell_count_exits_1(self, tmp_path, capsys, name, bad_row):
+        lines = (DATA / name).read_text().splitlines()
+        lines.insert(2, bad_row)
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        paths = {n: bad if n == name else DATA / n for n in self.FILES}
+        assert self.mine_files(*paths.values()) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}, line 3: expected 2 cells, got {bad_row.count(',') + 1}" in err
+
+    def test_utf8_bom_gives_the_same_report(self, tmp_path):
+        for name in self.FILES:
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        assert self.mine_files(*(DATA / n for n in self.FILES), out=plain) == 0
+        assert self.mine_files(*(tmp_path / n for n in self.FILES), out=bom) == 0
+        assert body_of(bom) == body_of(plain)

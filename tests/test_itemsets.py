@@ -5,22 +5,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pincer_ml import itemsets
 from pincer_ml.errors import MixedSizes
-from pincer_ml.itemsets import (
-    BorderState,
-    apriori_prune,
-    itemset,
-    join,
-    mfcs_gen,
-    pincer_prune,
-    recover,
-)
+from pincer_ml.itemsets import BorderState, bits, itemset, to_items, to_mask
+
+# The engine works on int masks; these adapters let every case below be
+# written, and its answer read, as index tuples.  A ``BorderState`` in
+# this module holds tuples and is converted on each call.
+
+
+def _masks(family):
+    return {to_mask(s) for s in family}
+
+
+def _tuples(masks):
+    return {to_items(m) for m in masks}
+
+
+def _border(state, convert):
+    return BorderState(frozenset(convert(state.mfcs)), frozenset(convert(state.mfs)))
+
+
+def join(frequent_k):
+    return _tuples(itemsets.join(_masks(frequent_k)))
+
+
+def apriori_prune(candidates, frequent_k):
+    return _tuples(itemsets.apriori_prune(_masks(candidates), _masks(frequent_k)))
+
+
+def mfcs_gen(state, infrequent):
+    got = itemsets.mfcs_gen(_border(state, _masks), _masks(infrequent))
+    return _border(got, _tuples)
+
+
+def recover(candidates, frequent_k, mfs):
+    got = itemsets.recover(_masks(candidates), _masks(frequent_k), _masks(mfs))
+    return _tuples(got)
+
+
+def pincer_prune(candidates, state):
+    return _tuples(itemsets.pincer_prune(_masks(candidates), _border(state, _masks)))
 
 
 def test_itemset_normalizes():
     assert itemset([3, 1, 3]) == (1, 3)
     assert itemset([]) == ()
     assert itemset(iter([2, 0, 1])) == (0, 1, 2)
+
+
+def test_mask_round_trip():
+    assert to_mask((0, 2, 5)) == 0b100101
+    assert to_mask(()) == 0
+    assert list(bits(0b100101)) == [0, 2, 5]
+    assert to_items(0) == ()
+    for items in [(3,), (0, 1, 2), (1, 7, 40, 64, 100)]:
+        assert to_items(to_mask(items)) == items
 
 
 class TestJoin:

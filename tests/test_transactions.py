@@ -7,6 +7,7 @@ from pincer_ml.errors import (
     LevelOutOfRange,
     UnknownItem,
 )
+from pincer_ml.itemsets import to_mask
 from pincer_ml.taxonomy import load_taxonomy, parse_code
 from pincer_ml.transactions import (
     PassCounter,
@@ -150,14 +151,16 @@ class TestCounting:
 
     def test_count_many_is_one_pass(self, level1):
         counter = PassCounter()
-        counts = count_many(level1, [(0,), (1,), (0, 1)], counter)
+        a, b, ab = to_mask((0,)), to_mask((1,)), to_mask((0, 1))
+        counts = count_many(level1, [a, b, ab], counter)
         assert counter.passes == 1
-        assert counts[(0,)] == 2 and counts[(1,)] == 5
+        assert counts[a] == 2 and counts[b] == 5
 
     def test_count_many_dedupes(self, level1):
         counter = PassCounter()
-        counts = count_many(level1, [(2,), (2,)], counter)
-        assert counts == {(2,): 8}
+        c = to_mask((2,))
+        counts = count_many(level1, [c, c], counter)
+        assert counts == {c: 8}
         assert counter.passes == 1
 
     def test_empty_batch_still_counts_a_pass(self, level1):
