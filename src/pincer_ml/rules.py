@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Collection, Iterable
 
 from .errors import InvalidConfidence, ItemsetTooLarge, MissingSubsetSupport
@@ -85,25 +84,25 @@ def generate_rules(
     """
     if not 0 < min_conf <= 1:
         raise InvalidConfidence(f"min_conf must be in (0, 1], got {min_conf}")
-    lookup = {fs.itemset: fs.support_count for fs in frequent}
+    # z / x >= num / den, compared exactly in integers, as Fraction >= float is.
+    num, den = Fraction(min_conf).as_integer_ratio()
+    support = {to_mask(fs.itemset): fs.support_count for fs in frequent}
     rules: list[Rule] = []
-    for z, z_support in lookup.items():
-        if len(z) < 2:
-            continue
-        for size in range(1, len(z)):
-            for antecedent in combinations(z, size):
-                x_support = lookup.get(antecedent)
-                if x_support is None:
-                    raise MissingSubsetSupport(
-                        f"no support recorded for {antecedent}, needed by a "
-                        f"rule from {z}; expand the frequent family first"
-                    )
-                confidence = Fraction(z_support, x_support)
-                if confidence >= min_conf:
-                    consequent = tuple(i for i in z if i not in antecedent)
-                    rules.append(
-                        Rule(antecedent, consequent, z_support, confidence, level)
-                    )
+    for z, z_support in support.items():
+        x = (z - 1) & z
+        while x:
+            x_support = support.get(x)
+            if x_support is None:
+                raise MissingSubsetSupport(
+                    f"no support recorded for {to_items(x)}, needed by a "
+                    f"rule from {to_items(z)}; expand the frequent family first"
+                )
+            if z_support * den >= num * x_support:
+                rules.append(Rule(
+                    to_items(x), to_items(z & ~x), z_support,
+                    Fraction(z_support, x_support), level,
+                ))
+            x = (x - 1) & z
     rules.sort(
         key=lambda r: (-r.confidence, -r.support_count, r.antecedent, r.consequent)
     )

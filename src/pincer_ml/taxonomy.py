@@ -9,6 +9,7 @@ only ever a suffix, so every code names exactly one node.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -43,7 +44,7 @@ class ItemCode:
     def depth(self) -> int:
         return len(self.path)
 
-    @property
+    @cached_property
     def text(self) -> str:
         return "".join(self.path) + WILDCARD * (self.total_levels - self.depth)
 
@@ -186,8 +187,15 @@ def _check_header(row: list[str] | None, expected: tuple[str, ...], path: Path) 
 
 
 def _csv_records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[str, str]]:
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is what was decoded: ``data`` without any BOM.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise BadRow(f"{path}, line {line}: not UTF-8 ({exc.reason})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         _check_header(next(reader, None), header, path)
         for row in reader:
             if not row:
@@ -198,6 +206,8 @@ def _csv_records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[str, str
                     f"{len(header)} cells, got {len(row)}"
                 )
             yield row[0].strip(), row[1].strip()
+    except csv.Error as exc:
+        raise BadRow(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
 def read_taxonomy_csv(path: str | Path, total_levels: int | None = None) -> Taxonomy:

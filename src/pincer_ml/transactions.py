@@ -42,17 +42,12 @@ class TransactionDB:
 
     def fingerprint(self) -> str:
         """Stable digest of the dataset, used to guard comparisons."""
-        digest = hashlib.sha256()
-        digest.update(str(self.taxonomy.total_levels).encode())
-        for leaf in sorted(self.taxonomy.codes):
-            digest.update(leaf.text.encode())
+        parts = [str(self.taxonomy.total_levels)]
+        parts.extend(sorted(leaf.text for leaf in self.taxonomy.codes))
         for tid, items in self.transactions:
-            digest.update(b"|")
-            digest.update(tid.encode())
-            for code in sorted(items):
-                digest.update(b",")
-                digest.update(code.text.encode())
-        return digest.hexdigest()
+            parts.append("|" + tid)
+            parts.extend("," + text for text in sorted(code.text for code in items))
+        return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 def load_transactions(
@@ -61,14 +56,18 @@ def load_transactions(
     """Group (tid, item text) records into transactions.
 
     Transactions keep first-appearance order; repeated (tid, item) pairs
-    collapse.  Every item must be a leaf of the taxonomy.
+    collapse.  Every item must be a leaf of the taxonomy; each distinct
+    item text is parsed once.
     """
+    codes: dict[str, ItemCode] = {}
     baskets: dict[str, set[ItemCode]] = {}
     for position, (tid, text) in enumerate(records, start=1):
-        try:
-            code = _parse_item(text, taxonomy)
-        except MiningError as exc:
-            raise type(exc)(f"record {position}: {exc}") from exc
+        code = codes.get(text)
+        if code is None:
+            try:
+                code = codes[text] = _parse_item(text, taxonomy)
+            except MiningError as exc:
+                raise type(exc)(f"record {position}: {exc}") from exc
         baskets.setdefault(tid, set()).add(code)
     rows = tuple((tid, frozenset(items)) for tid, items in baskets.items())
     return TransactionDB(rows, taxonomy)
@@ -122,9 +121,10 @@ def project_to_level(
 ) -> LevelMatrix:
     """Generalize every transaction to ``level`` and build the bit matrix.
 
-    Distinct leaves sharing an ancestor collapse into one bit.  With a
-    filter, only the given depth-``level`` codes become columns; rows
-    for transactions with no retained item are kept as zero rows so
+    Each leaf of the taxonomy is generalized once, to the bit of its
+    ancestor; distinct leaves sharing an ancestor collapse into one bit.
+    With a filter, only the given depth-``level`` codes become columns;
+    rows for transactions with no retained item are kept as zero rows so
     support denominators never change.
     """
     total = db.taxonomy.total_levels
@@ -141,14 +141,17 @@ def project_to_level(
     else:
         vocabulary = db.taxonomy.codes_at_depth(level)
     index = {code: j for j, code in enumerate(vocabulary)}
+    bit_of = {}
+    for leaf in db.taxonomy.codes:
+        j = index.get(generalize(leaf, level))
+        if j is not None:
+            bit_of[leaf] = 1 << j
     rows = []
     for _tid, items in db.transactions:
-        bits = 0
+        row = 0
         for leaf in items:
-            j = index.get(generalize(leaf, level))
-            if j is not None:
-                bits |= 1 << j
-        rows.append(bits)
+            row |= bit_of.get(leaf, 0)
+        rows.append(row)
     return LevelMatrix(level, vocabulary, tuple(rows))
 
 

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, GOLDEN
 from pincer_ml.cli import main
@@ -296,6 +300,13 @@ class TestCsvInput:
         args += ["--minsup", "3,2,2"]
         return run(*args, *(["--out", out] if out else []))
 
+    def write_with_row(self, tmp_path, name, bad_row: bytes):
+        lines = (DATA / name).read_bytes().splitlines()
+        lines.insert(2, bad_row)
+        bad = tmp_path / name
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        return bad, {n: bad if n == name else DATA / n for n in self.FILES}
+
     @pytest.mark.parametrize(
         "name, bad_row",
         [
@@ -306,14 +317,27 @@ class TestCsvInput:
         ],
     )
     def test_row_with_wrong_cell_count_exits_1(self, tmp_path, capsys, name, bad_row):
-        lines = (DATA / name).read_text().splitlines()
-        lines.insert(2, bad_row)
-        bad = tmp_path / name
-        bad.write_text("\n".join(lines) + "\n")
-        paths = {n: bad if n == name else DATA / n for n in self.FILES}
+        bad, paths = self.write_with_row(tmp_path, name, bad_row.encode())
         assert self.mine_files(*paths.values()) == 1
         err = capsys.readouterr().err
         assert f"{bad}, line 3: expected 2 cells, got {bad_row.count(',') + 1}" in err
+
+    @pytest.mark.parametrize(
+        "name, bad_row",
+        [("bookstore_taxonomy.csv", b"Z11,Zebra\xff book"), ("bookstore.csv", b"T1,A\xff1")],
+    )
+    def test_non_utf8_byte_exits_1(self, tmp_path, capsys, name, bad_row):
+        bad, paths = self.write_with_row(tmp_path, name, bad_row)
+        assert self.mine_files(*paths.values()) == 1
+        assert f"{bad}, line 3: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, prefix", [("bookstore_taxonomy.csv", b"Z11,"), ("bookstore.csv", b"T1,")]
+    )
+    def test_overlong_cell_exits_1(self, tmp_path, capsys, name, prefix):
+        bad, paths = self.write_with_row(tmp_path, name, prefix + b"A" * 200_000)
+        assert self.mine_files(*paths.values()) == 1
+        assert f"{bad}, line 3: field larger than field limit" in capsys.readouterr().err
 
     def test_utf8_bom_gives_the_same_report(self, tmp_path):
         for name in self.FILES:
@@ -322,3 +346,42 @@ class TestCsvInput:
         assert self.mine_files(*(DATA / n for n in self.FILES), out=plain) == 0
         assert self.mine_files(*(tmp_path / n for n in self.FILES), out=bom) == 0
         assert body_of(bom) == body_of(plain)
+
+
+# Raw bytes, and raw bytes after a valid header so that data rows get parsed.
+def csv_bytes(header: bytes):
+    return st.one_of(st.binary(max_size=300), st.binary(max_size=300).map(header.__add__))
+
+
+class TestFuzzedCsv:
+    """Whatever bytes a CSV holds, ``main`` returns a documented exit code."""
+
+    FUZZ = settings(
+        deadline=None,
+        max_examples=200,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+    def exit_code(self, tmp_path, fuzzed_name, data):
+        # A fresh directory per example: overwriting a file is far slower
+        # than creating one on some filesystems.
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        paths = {n: DATA / n for n in TestCsvInput.FILES}
+        paths[fuzzed_name] = work / fuzzed_name
+        paths[fuzzed_name].write_bytes(data)
+        return run(
+            "mine",
+            "--taxonomy", paths["bookstore_taxonomy.csv"],
+            "--transactions", paths["bookstore.csv"],
+            "--minsup", "3,2,2", "--out", work / "report.json",
+        )
+
+    @FUZZ
+    @given(data=csv_bytes(b"tid,item\n"))
+    def test_transactions_bytes(self, tmp_path, data):
+        assert self.exit_code(tmp_path, "bookstore.csv", data) in (0, 1, 2, 3)
+
+    @FUZZ
+    @given(data=csv_bytes(b"code,name\n"))
+    def test_taxonomy_bytes(self, tmp_path, data):
+        assert self.exit_code(tmp_path, "bookstore_taxonomy.csv", data) in (0, 1, 2, 3)

@@ -12,7 +12,7 @@ from pincer_ml.errors import (
 )
 from pincer_ml.gen import random_matrix
 from pincer_ml.pincer import pincer_search
-from pincer_ml.rules import FrequentSet, expand_frequent, generate_rules
+from pincer_ml.rules import FrequentSet, Rule, expand_frequent, generate_rules
 from pincer_ml.transactions import PassCounter
 
 
@@ -146,3 +146,82 @@ class TestRules:
         via_float = generate_rules(level1_frequent, 0.5, level=1)
         via_fraction = generate_rules(level1_frequent, Fraction(1, 2), level=1)
         assert via_float == via_fraction
+
+
+def reference_rules(frequent, min_conf, level):
+    """Rule generation as it was written on index tuples, for comparison."""
+    lookup = {fs.itemset: fs.support_count for fs in frequent}
+    rules = []
+    for z, z_support in lookup.items():
+        for size in range(1, len(z)):
+            for antecedent in combinations(z, size):
+                x_support = lookup.get(antecedent)
+                if x_support is None:
+                    raise MissingSubsetSupport(antecedent)
+                confidence = Fraction(z_support, x_support)
+                if confidence >= min_conf:
+                    consequent = tuple(i for i in z if i not in antecedent)
+                    rules.append(
+                        Rule(antecedent, consequent, z_support, confidence, level)
+                    )
+    rules.sort(
+        key=lambda r: (-r.confidence, -r.support_count, r.antecedent, r.consequent)
+    )
+    return rules
+
+
+def random_family(rng):
+    """Every nonempty subset of a few random sets, each with a random support."""
+    n_items = rng.randint(1, 10)
+    itemsets = set()
+    for _ in range(rng.randint(1, 4)):
+        top = rng.sample(range(n_items), rng.randint(1, min(n_items, 6)))
+        for size in range(1, len(top) + 1):
+            itemsets.update(tuple(sorted(s)) for s in combinations(top, size))
+    # Supports from a small range put many confidences exactly on the threshold.
+    return [FrequentSet(s, rng.randint(1, 12), 12) for s in sorted(itemsets)]
+
+
+# 0.1 and 0.2 lie just above 1/10 and 1/5, which supports up to 12 can hit,
+# so rounding the float threshold to its decimal would be caught.
+MIN_CONFS = [
+    Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(1, 12),
+    0.1, 0.2, 0.5, 0.75, 0.93, 0.1 + 0.2, 1 / 3,
+]
+
+
+class TestRulesAgainstReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equal_on_random_families(self, seed):
+        rng = random.Random(seed)
+        frequent = random_family(rng)
+        for min_conf in MIN_CONFS:
+            got = generate_rules(frequent, min_conf, level=2)
+            assert got == reference_rules(frequent, min_conf, level=2)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_both_refuse_a_family_missing_a_subset(self, seed):
+        rng = random.Random(seed)
+        wide = []
+        while not wide:
+            frequent = random_family(rng)
+            wide = [fs for fs in frequent if len(fs.itemset) >= 2]
+        z = rng.choice(wide).itemset
+        gone = rng.choice(
+            [s for size in range(1, len(z)) for s in combinations(z, size)]
+        )
+        holed = [fs for fs in frequent if fs.itemset != gone]
+        with pytest.raises(MissingSubsetSupport):
+            reference_rules(holed, Fraction(1, 2), level=1)
+        with pytest.raises(MissingSubsetSupport):
+            generate_rules(holed, Fraction(1, 2), level=1)
+
+    def test_equal_on_mined_families(self):
+        rng = random.Random(7)
+        for _ in range(10):
+            matrix = random_matrix(rng, 8, 40, density=0.5)
+            result = pincer_search(matrix, 8)
+            frequent = expand_frequent(frozenset(result.mfs), matrix, PassCounter())
+            for min_conf in (Fraction(3, 4), 0.6):
+                got = generate_rules(frequent, min_conf, level=1)
+                assert got == reference_rules(frequent, min_conf, level=1)

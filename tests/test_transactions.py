@@ -8,7 +8,8 @@ from pincer_ml.errors import (
     UnknownItem,
 )
 from pincer_ml.itemsets import to_mask
-from pincer_ml.taxonomy import load_taxonomy, parse_code
+from pincer_ml.gen import random_dataset
+from pincer_ml.taxonomy import generalize, load_taxonomy, parse_code
 from pincer_ml.transactions import (
     PassCounter,
     count_many,
@@ -73,6 +74,12 @@ class TestBookstoreDb:
         again = read_transactions_csv(DATA / "bookstore.csv", bookstore_taxonomy)
         assert again.fingerprint() == bookstore.fingerprint()
 
+    def test_fingerprint_value(self, bookstore):
+        # Recorded before ingest was rewritten; the digest must not move.
+        assert bookstore.fingerprint() == (
+            "d122a60e8dc43f447f21d08ae00178da3003217b4de2d4509491ce8ef3df2933"
+        )
+
     def test_fingerprint_tracks_content(self, bookstore):
         from pincer_ml.transactions import TransactionDB
 
@@ -124,6 +131,51 @@ class TestProjection:
         matrix = project_to_level(bookstore, 2, frozenset())
         assert matrix.vocabulary == ()
         assert all(row == 0 for row in matrix.rows)
+
+
+def reference_projection(db, level, vocabulary_filter=None):
+    """Projection as it was written, one ``generalize`` per item per row."""
+    if vocabulary_filter is None:
+        vocabulary = db.taxonomy.codes_at_depth(level)
+    else:
+        vocabulary = tuple(sorted(set(vocabulary_filter)))
+    index = {code: j for j, code in enumerate(vocabulary)}
+    rows = []
+    for _tid, items in db.transactions:
+        row = 0
+        for leaf in items:
+            j = index.get(generalize(leaf, level))
+            if j is not None:
+                row |= 1 << j
+        rows.append(row)
+    return vocabulary, tuple(rows)
+
+
+def every_other(codes):
+    return codes[::2]
+
+
+class TestProjectionAgainstReference:
+    def check(self, db, level, vocabulary_filter=None):
+        matrix = project_to_level(db, level, vocabulary_filter)
+        vocabulary, rows = reference_projection(db, level, vocabulary_filter)
+        assert matrix.vocabulary == vocabulary
+        assert matrix.rows == rows
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_bookstore(self, bookstore, level):
+        self.check(bookstore, level)
+        codes = bookstore.taxonomy.codes_at_depth(level)
+        self.check(bookstore, level, every_other(codes))
+        self.check(bookstore, level, codes[1:2])
+        self.check(bookstore, level, [])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_datasets(self, seed):
+        db = random_dataset(seed, total_levels=2 + seed % 3, n_transactions=30)
+        for level in range(1, db.taxonomy.total_levels + 1):
+            self.check(db, level)
+            self.check(db, level, every_other(db.taxonomy.codes_at_depth(level)))
 
 
 class TestCounting:
