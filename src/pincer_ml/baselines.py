@@ -87,7 +87,11 @@ class MlLevelResult:
 class MlT2l1Result:
     levels: tuple[MlLevelResult, ...]
     passes: int
-    fingerprint: str
+    db: TransactionDB
+
+    @property
+    def fingerprint(self) -> str:
+        return self.db.fingerprint()
 
 
 def ml_t2l1(db: TransactionDB, config: LevelConfig) -> MlT2l1Result:
@@ -130,7 +134,7 @@ def ml_t2l1(db: TransactionDB, config: LevelConfig) -> MlT2l1Result:
     return MlT2l1Result(
         levels=tuple(levels),
         passes=sum(lr.passes for lr in levels),
-        fingerprint=db.fingerprint(),
+        db=db,
     )
 
 

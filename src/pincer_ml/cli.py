@@ -496,7 +496,8 @@ def cmd_gen(args) -> int:
 def _emit(args, payload: dict, render_text) -> None:
     if args.format == "json":
         report = {"meta": _meta(args.command), **payload}
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        # No indent: CPython's C encoder only runs when indent is None.
+        text = json.dumps(report, sort_keys=True) + "\n"
     else:
         text = render_text(payload)
     if args.out:

@@ -14,6 +14,7 @@ from .taxonomy import ItemCode, Taxonomy, load_taxonomy
 from .transactions import LevelMatrix, TransactionDB, load_transactions
 
 _LETTERS = string.ascii_uppercase
+MAX_TAXONOMY_LEAVES = 100_000
 
 
 def _root_symbols(count: int) -> list[str]:
@@ -37,7 +38,11 @@ def random_taxonomy(
     max_children: int = 3,
     total_levels: int = 3,
 ) -> Taxonomy:
-    """Build a random hierarchy with 1..max_children fanout per node."""
+    """Build a random hierarchy with 1..max_children fanout per node.
+
+    Growth stops with a ``ConfigError`` as soon as a level passes
+    ``MAX_TAXONOMY_LEAVES`` nodes, before the tree is built any further.
+    """
     if not 1 <= n_roots <= 26:
         # codes are one symbol per level, so there are at most 26 roots
         raise ConfigError(f"n_roots must be within 1..26, got {n_roots}")
@@ -49,6 +54,11 @@ def random_taxonomy(
         for prefix in prefixes:
             for child in range(1, rng.randint(1, max_children) + 1):
                 next_prefixes.append(f"{prefix}{child}")
+            if len(next_prefixes) > MAX_TAXONOMY_LEAVES:
+                raise ConfigError(
+                    f"the taxonomy would have over {MAX_TAXONOMY_LEAVES} leaves; "
+                    "lower --levels, --max-children or --roots"
+                )
         prefixes = next_prefixes
     records = [(leaf, f"item {leaf}") for leaf in prefixes]
     return load_taxonomy(records, total_levels=total_levels)

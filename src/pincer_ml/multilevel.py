@@ -68,11 +68,15 @@ class MultiLevelResult:
     levels: tuple[LevelResult, ...]
     mining_passes: int
     expansion_passes: int
-    fingerprint: str
+    db: TransactionDB
 
     @property
     def total_passes(self) -> int:
         return self.mining_passes + self.expansion_passes
+
+    @property
+    def fingerprint(self) -> str:
+        return self.db.fingerprint()
 
 
 def descend_vocabulary(
@@ -153,5 +157,5 @@ def mine_multilevel(db: TransactionDB, config: LevelConfig) -> MultiLevelResult:
         levels=tuple(levels),
         mining_passes=sum(lr.mining_passes for lr in levels),
         expansion_passes=sum(lr.expansion_passes for lr in levels),
-        fingerprint=db.fingerprint(),
+        db=db,
     )

@@ -81,13 +81,18 @@ def generate_rules(
     sorted by confidence then support, both descending, then by
     antecedent and consequent; vocabulary indices follow text order, so
     the tiebreak is the textual one.
+
+    Confidence is ordered by ``z * S**2 // x``, S the largest support:
+    two distinct ratios with denominators at most S differ by at least
+    1/S**2, so the integer key orders them exactly as the ratios.
     """
     if not 0 < min_conf <= 1:
         raise InvalidConfidence(f"min_conf must be in (0, 1], got {min_conf}")
     # z / x >= num / den, compared exactly in integers, as Fraction >= float is.
     num, den = Fraction(min_conf).as_integer_ratio()
     support = {to_mask(fs.itemset): fs.support_count for fs in frequent}
-    rules: list[Rule] = []
+    scale = max(support.values(), default=0) ** 2
+    kept = []
     for z, z_support in support.items():
         x = (z - 1) & z
         while x:
@@ -98,12 +103,14 @@ def generate_rules(
                     f"rule from {to_items(z)}; expand the frequent family first"
                 )
             if z_support * den >= num * x_support:
-                rules.append(Rule(
-                    to_items(x), to_items(z & ~x), z_support,
-                    Fraction(z_support, x_support), level,
+                kept.append((
+                    -(z_support * scale // x_support), -z_support,
+                    to_items(x), to_items(z & ~x), x_support,
                 ))
             x = (x - 1) & z
-    rules.sort(
-        key=lambda r: (-r.confidence, -r.support_count, r.antecedent, r.consequent)
-    )
-    return rules
+    # (antecedent, consequent) is unique per rule, so x_support never decides.
+    kept.sort()
+    return [
+        Rule(antecedent, consequent, -neg_z, Fraction(-neg_z, x_support), level)
+        for _, neg_z, antecedent, consequent, x_support in kept
+    ]

@@ -42,6 +42,10 @@ class TransactionDB:
 
     def fingerprint(self) -> str:
         """Stable digest of the dataset, used to guard comparisons."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         parts = [str(self.taxonomy.total_levels)]
         parts.extend(sorted(leaf.text for leaf in self.taxonomy.codes))
         for tid, items in self.transactions:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,19 +11,24 @@ from hypothesis import strategies as st
 from conftest import DATA, GOLDEN
 from pincer_ml.cli import main
 from pincer_ml.errors import MiningError
+from pincer_ml.transactions import TransactionDB
 
 
 def run(*args):
     return main([str(a) for a in args])
 
 
-def mine_args(*extra, out=None):
-    args = [
-        "mine",
+def bookstore_args(command):
+    return [
+        command,
         "--taxonomy", DATA / "bookstore_taxonomy.csv",
         "--transactions", DATA / "bookstore.csv",
         "--minsup", "3,2,2",
     ]
+
+
+def mine_args(*extra, out=None):
+    args = bookstore_args("mine")
     args.extend(extra)
     if out is not None:
         args.extend(["--out", out])
@@ -212,6 +219,20 @@ class TestGen:
         )
         assert json.loads(capsys.readouterr().out)["seed"] == 31
 
+    def test_runaway_tree_exits_2(self, tmp_path, capsys):
+        # About 4 * 2**39 leaves: refused while the tree is still small.
+        code = run(
+            "gen",
+            "--taxonomy", str(tmp_path / "t.csv"),
+            "--transactions", str(tmp_path / "x.csv"),
+            "--levels", "40",
+            "--seed", "0",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--levels", "--max-children", "--roots"))
+        assert not (tmp_path / "t.csv").exists()
+
     def test_generated_data_mines_cleanly(self, tmp_path):
         tax, trx = tmp_path / "t.csv", tmp_path / "x.csv"
         run("gen", "--taxonomy", str(tax), "--transactions", str(trx), "--seed", "3")
@@ -223,6 +244,48 @@ class TestGen:
             "--out", str(tmp_path / "r.json"),
         )
         assert code == 0
+
+
+class TestJsonLayout:
+    @pytest.mark.parametrize("command", ["mine", "compare", "oracle-check", "gen"])
+    def test_report_is_one_line_of_sorted_key_json(self, tmp_path, capsys, command):
+        if command == "gen":
+            args = ["gen", "--taxonomy", tmp_path / "t.csv"]
+            args += ["--transactions", tmp_path / "x.csv", "--seed", "5"]
+        else:
+            args = bookstore_args(command)
+        assert run(*args, "--format", "json") == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+class TestFingerprintUse:
+    """The dataset digest is computed only where something reads it."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        calls = []
+
+        def sha256(data):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(
+            "pincer_ml.transactions.hashlib", SimpleNamespace(sha256=sha256)
+        )
+        return calls
+
+    def test_mine_never_calls_fingerprint(self, tmp_path, monkeypatch, hashes):
+        def refuse(self):
+            raise AssertionError("mine called TransactionDB.fingerprint")
+
+        monkeypatch.setattr(TransactionDB, "fingerprint", refuse)
+        assert run(*mine_args(out=tmp_path / "r.json")) == 0
+        assert hashes == []
+
+    def test_compare_computes_the_digest_once(self, tmp_path, hashes):
+        assert run(*bookstore_args("compare"), "--out", tmp_path / "r.json") == 0
+        assert len(hashes) == 1
 
 
 class TestExitCodes:

@@ -170,7 +170,7 @@ def reference_rules(frequent, min_conf, level):
     return rules
 
 
-def random_family(rng):
+def random_family(rng, supports=(1, 12)):
     """Every nonempty subset of a few random sets, each with a random support."""
     n_items = rng.randint(1, 10)
     itemsets = set()
@@ -178,8 +178,14 @@ def random_family(rng):
         top = rng.sample(range(n_items), rng.randint(1, min(n_items, 6)))
         for size in range(1, len(top) + 1):
             itemsets.update(tuple(sorted(s)) for s in combinations(top, size))
-    # Supports from a small range put many confidences exactly on the threshold.
-    return [FrequentSet(s, rng.randint(1, 12), 12) for s in sorted(itemsets)]
+    return [
+        FrequentSet(s, rng.randint(*supports), supports[1]) for s in sorted(itemsets)
+    ]
+
+
+# Small supports put many confidences exactly on the threshold.  Supports
+# just under 2**40 give distinct confidences a float cannot tell apart.
+SUPPORT_RANGES = [(1, 12), (1, 2**40), (2**40 - 12, 2**40)]
 
 
 # 0.1 and 0.2 lie just above 1/10 and 1/5, which supports up to 12 can hit,
@@ -193,11 +199,31 @@ MIN_CONFS = [
 class TestRulesAgainstReference:
     @pytest.mark.parametrize("seed", range(40))
     def test_equal_on_random_families(self, seed):
-        rng = random.Random(seed)
-        frequent = random_family(rng)
-        for min_conf in MIN_CONFS:
-            got = generate_rules(frequent, min_conf, level=2)
-            assert got == reference_rules(frequent, min_conf, level=2)
+        for supports in SUPPORT_RANGES:
+            frequent = random_family(random.Random(seed), supports)
+            for min_conf in MIN_CONFS:
+                got = generate_rules(frequent, min_conf, level=2)
+                assert got == reference_rules(frequent, min_conf, level=2)
+
+    def test_order_of_confidences_equal_as_floats(self):
+        # 0 -> 1 has confidence (2**30 - 1) / 2**30 and 2 -> 3 has
+        # (2**31 - 4) / (2**31 - 2), which is smaller by about 2**-60: both
+        # round to the same float, and 2 -> 3 has the larger support.
+        n = 2**30
+        frequent = [
+            FrequentSet((0,), n, 2 * n),
+            FrequentSet((1,), n, 2 * n),
+            FrequentSet((0, 1), n - 1, 2 * n),
+            FrequentSet((2,), 2 * n - 2, 2 * n),
+            FrequentSet((3,), 2 * n - 2, 2 * n),
+            FrequentSet((2, 3), 2 * n - 4, 2 * n),
+        ]
+        assert float(Fraction(n - 1, n)) == float(Fraction(2 * n - 4, 2 * n - 2))
+        got = generate_rules(frequent, Fraction(1, 2), level=1)
+        assert got == reference_rules(frequent, Fraction(1, 2), level=1)
+        assert [(r.antecedent, r.consequent) for r in got] == [
+            ((0,), (1,)), ((1,), (0,)), ((2,), (3,)), ((3,), (2,)),
+        ]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_both_refuse_a_family_missing_a_subset(self, seed):
