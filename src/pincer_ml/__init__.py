@@ -6,14 +6,6 @@ itemsets are located by a levelwise search that simultaneously shrinks
 an upper border, and the full frequent collection plus rules are
 recovered from that border afterwards.
 """
-from .baselines import (
-    AprioriResult,
-    ComparisonReport,
-    MlT2l1Result,
-    apriori,
-    compare,
-    ml_t2l1,
-)
 from .errors import MiningError
 from .itemsets import BorderState, Itemset, itemset
 from .multilevel import (
@@ -23,7 +15,6 @@ from .multilevel import (
     MultiLevelResult,
     mine_multilevel,
 )
-from .oracle import OracleResult, brute_force
 from .pincer import PincerResult, pincer_search
 from .rules import FrequentSet, Rule, expand_frequent, generate_rules
 from .taxonomy import ItemCode, Taxonomy, load_taxonomy, parse_code, read_taxonomy_csv
@@ -38,6 +29,28 @@ from .transactions import (
 )
 
 __version__ = "0.1.0"
+
+# The baselines and the oracle are independent evidence, not part of the
+# engine: they load on first use, so ``import pincer_ml.cli`` skips them.
+_LAZY = {
+    "AprioriResult": "baselines",
+    "ComparisonReport": "baselines",
+    "MlT2l1Result": "baselines",
+    "apriori": "baselines",
+    "compare": "baselines",
+    "ml_t2l1": "baselines",
+    "OracleResult": "oracle",
+    "brute_force": "oracle",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
 __all__ = [
     "AprioriResult",

@@ -22,8 +22,8 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .baselines import ComparisonReport, compare, ml_t2l1
 from .errors import (
     ConfigError,
     InvalidConfidence,
@@ -32,17 +32,20 @@ from .errors import (
     MiningError,
     VocabularyTooLarge,
 )
-from .gen import random_dataset, taxonomy_csv_rows, transaction_csv_rows
 from .multilevel import (
     DescentPolicy,
     LevelConfig,
     MultiLevelResult,
     mine_multilevel,
 )
-from .oracle import brute_force
 from .rules import Rule, generate_rules
 from .taxonomy import ItemCode, read_taxonomy_csv
 from .transactions import TransactionDB, project_to_level, read_transactions_csv
+
+# baselines, oracle and gen are imported inside the commands that use
+# them, so ``mine`` loads none of them.
+if TYPE_CHECKING:
+    from .baselines import ComparisonReport
 
 SUPPORT_MODES = ("absolute", "fractional")
 FORMATS = ("json", "text")
@@ -376,6 +379,8 @@ def _render_compare_text(payload: dict) -> str:
 
 
 def cmd_compare(args) -> int:
+    from .baselines import compare, ml_t2l1
+
     db = _load_db(args)
     minsup = parse_minsup(
         args.minsup, args.support_mode, db.n_transactions, db.taxonomy.total_levels
@@ -399,6 +404,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .oracle import brute_force
+
     db = _load_db(args)
     minsup = parse_minsup(
         args.minsup, args.support_mode, db.n_transactions, db.taxonomy.total_levels
@@ -457,6 +464,8 @@ def _write_csv(path: str, header: tuple[str, str], rows) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .gen import random_dataset, taxonomy_csv_rows, transaction_csv_rows
+
     if args.rows < 0:
         raise ConfigError(f"--rows must be non-negative, got {args.rows}")
     if args.levels < 1:

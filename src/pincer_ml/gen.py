@@ -10,6 +10,7 @@ import string
 from collections.abc import Sequence
 
 from .errors import ConfigError
+from .itemsets import bits
 from .taxonomy import ItemCode, Taxonomy, load_taxonomy
 from .transactions import LevelMatrix, TransactionDB, load_transactions
 
@@ -73,10 +74,10 @@ def random_transactions(
     """Draw each transaction as a uniform sample of 1..max_items leaves."""
     if n_transactions < 0:
         raise ConfigError(f"negative transaction count: {n_transactions}")
+    if max_items < 1:
+        raise ConfigError(f"max_items must be at least 1, got {max_items}")
     leaves = sorted(taxonomy.codes)
     cap = min(max_items, len(leaves))
-    if cap < 1:
-        raise ConfigError("taxonomy has no leaf items to sample")
     records = []
     for tid in range(1, n_transactions + 1):
         size = rng.randint(1, cap)
@@ -126,11 +127,8 @@ def taxonomy_csv_rows(taxonomy: Taxonomy) -> list[tuple[str, str]]:
 
 def transaction_csv_rows(db: TransactionDB) -> list[tuple[str, str]]:
     """(tid, item) rows in original transaction order."""
-    rows = []
-    for tid, items in db.transactions:
-        for code in sorted(items):
-            rows.append((tid, code.text))
-    return rows
+    texts = [leaf.text for leaf in db.leaves]
+    return [(tid, texts[i]) for tid, row in zip(db.tids, db.rows) for i in bits(row)]
 
 
 def dataset_csv_rows(

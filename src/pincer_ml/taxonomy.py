@@ -205,7 +205,10 @@ def _csv_records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[str, str
                     f"{path}, line {reader.line_num}: expected "
                     f"{len(header)} cells, got {len(row)}"
                 )
-            yield row[0].strip(), row[1].strip()
+            key = row[0].strip()
+            if not key:
+                raise BadRow(f"{path}, line {reader.line_num}: blank {header[0]}")
+            yield key, row[1].strip()
     except csv.Error as exc:
         raise BadRow(f"{path}, line {reader.line_num}: {exc}") from exc
 

@@ -7,7 +7,6 @@ population count.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -28,17 +27,26 @@ class PassCounter:
 
 @dataclass(frozen=True, eq=False)
 class TransactionDB:
-    """Raw transactions: one (tid, leaf itemset) pair per basket."""
+    """Raw transactions as leaf masks: one (tid, row) pair per basket.
 
-    transactions: tuple[tuple[str, frozenset[ItemCode]], ...]
+    Bit ``i`` of ``rows[t]`` stands for ``leaves[i]``, the taxonomy's
+    leaves sorted by code text, so bit order and text order agree.
+    """
+
+    tids: tuple[str, ...]
+    rows: tuple[int, ...]
     taxonomy: Taxonomy
 
     @property
+    def leaves(self) -> tuple[ItemCode, ...]:
+        return self.taxonomy.codes_at_depth(self.taxonomy.total_levels)
+
+    @property
     def n_transactions(self) -> int:
-        return len(self.transactions)
+        return len(self.rows)
 
     def __len__(self) -> int:
-        return len(self.transactions)
+        return len(self.rows)
 
     def fingerprint(self) -> str:
         """Stable digest of the dataset, used to guard comparisons."""
@@ -46,11 +54,15 @@ class TransactionDB:
 
     @cached_property
     def _digest(self) -> str:
-        parts = [str(self.taxonomy.total_levels)]
-        parts.extend(sorted(leaf.text for leaf in self.taxonomy.codes))
-        for tid, items in self.transactions:
+        # Imported on first use, so runs that never hash (``mine``) do
+        # not load OpenSSL.
+        import hashlib
+
+        texts = [leaf.text for leaf in self.leaves]
+        parts = [str(self.taxonomy.total_levels), *texts]
+        for tid, row in zip(self.tids, self.rows):
             parts.append("|" + tid)
-            parts.extend("," + text for text in sorted(code.text for code in items))
+            parts.extend("," + texts[i] for i in bits(row))
         return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
@@ -61,20 +73,23 @@ def load_transactions(
 
     Transactions keep first-appearance order; repeated (tid, item) pairs
     collapse.  Every item must be a leaf of the taxonomy; each distinct
-    item text is parsed once.
+    item text is parsed once and mapped to its leaf bit.
     """
-    codes: dict[str, ItemCode] = {}
-    baskets: dict[str, set[ItemCode]] = {}
+    leaves = taxonomy.codes_at_depth(taxonomy.total_levels)
+    leaf_bit = {leaf: 1 << i for i, leaf in enumerate(leaves)}
+    bit_of: dict[str, int] = {}
+    baskets: dict[str, int] = {}
+    get = baskets.get
     for position, (tid, text) in enumerate(records, start=1):
-        code = codes.get(text)
-        if code is None:
+        bit = bit_of.get(text)
+        if bit is None:
             try:
-                code = codes[text] = _parse_item(text, taxonomy)
+                code = _parse_item(text, taxonomy)
             except MiningError as exc:
                 raise type(exc)(f"record {position}: {exc}") from exc
-        baskets.setdefault(tid, set()).add(code)
-    rows = tuple((tid, frozenset(items)) for tid, items in baskets.items())
-    return TransactionDB(rows, taxonomy)
+            bit = bit_of[text] = leaf_bit[code]
+        baskets[tid] = get(tid, 0) | bit
+    return TransactionDB(tuple(baskets), tuple(baskets.values()), taxonomy)
 
 
 def _parse_item(text: str, taxonomy: Taxonomy) -> ItemCode:
@@ -145,16 +160,15 @@ def project_to_level(
     else:
         vocabulary = db.taxonomy.codes_at_depth(level)
     index = {code: j for j, code in enumerate(vocabulary)}
-    bit_of = {}
-    for leaf in db.taxonomy.codes:
+    leaf_bits = []
+    for leaf in db.leaves:
         j = index.get(generalize(leaf, level))
-        if j is not None:
-            bit_of[leaf] = 1 << j
+        leaf_bits.append(0 if j is None else 1 << j)
     rows = []
-    for _tid, items in db.transactions:
+    for leaf_row in db.rows:
         row = 0
-        for leaf in items:
-            row |= bit_of.get(leaf, 0)
+        for i in bits(leaf_row):
+            row |= leaf_bits[i]
         rows.append(row)
     return LevelMatrix(level, vocabulary, tuple(rows))
 

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pincer_ml
 from conftest import DATA, GOLDEN
 from pincer_ml.cli import main
 from pincer_ml.errors import MiningError
@@ -233,6 +236,16 @@ class TestGen:
         assert all(flag in err for flag in ("--levels", "--max-children", "--roots"))
         assert not (tmp_path / "t.csv").exists()
 
+    def test_zero_max_items_exits_2_naming_it(self, tmp_path, capsys):
+        code = run(
+            "gen",
+            "--taxonomy", str(tmp_path / "t.csv"),
+            "--transactions", str(tmp_path / "x.csv"),
+            "--max-items", "0",
+        )
+        assert code == 2
+        assert "max_items must be at least 1, got 0" in capsys.readouterr().err
+
     def test_generated_data_mines_cleanly(self, tmp_path):
         tax, trx = tmp_path / "t.csv", tmp_path / "x.csv"
         run("gen", "--taxonomy", str(tax), "--transactions", str(trx), "--seed", "3")
@@ -265,14 +278,13 @@ class TestFingerprintUse:
     @pytest.fixture
     def hashes(self, monkeypatch):
         calls = []
+        real_sha256 = hashlib.sha256
 
         def sha256(data):
             calls.append(data)
-            return hashlib.sha256(data)
+            return real_sha256(data)
 
-        monkeypatch.setattr(
-            "pincer_ml.transactions.hashlib", SimpleNamespace(sha256=sha256)
-        )
+        monkeypatch.setattr(hashlib, "sha256", sha256)
         return calls
 
     def test_mine_never_calls_fingerprint(self, tmp_path, monkeypatch, hashes):
@@ -286,6 +298,34 @@ class TestFingerprintUse:
     def test_compare_computes_the_digest_once(self, tmp_path, hashes):
         assert run(*bookstore_args("compare"), "--out", tmp_path / "r.json") == 0
         assert len(hashes) == 1
+
+
+class TestImportFootprint:
+    def test_cli_leaves_baselines_oracle_gen_and_hashlib_unloaded(self):
+        probe = (
+            "import sys, pincer_ml.cli; "
+            "print(sorted(m for m in ('pincer_ml.baselines', 'pincer_ml.oracle', "
+            "'pincer_ml.gen', 'hashlib') if m in sys.modules))"
+        )
+        src = Path(pincer_ml.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        ).stdout
+        assert out == "[]\n"
+
+    def test_every_public_name_resolves(self):
+        for name in pincer_ml.__all__:
+            assert getattr(pincer_ml, name) is not None
+        from pincer_ml import brute_force, ml_t2l1
+
+        assert ml_t2l1.__module__ == "pincer_ml.baselines"
+        assert brute_force.__module__ == "pincer_ml.oracle"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pincer_ml.no_such_name
 
 
 class TestExitCodes:
@@ -384,6 +424,19 @@ class TestCsvInput:
         assert self.mine_files(*paths.values()) == 1
         err = capsys.readouterr().err
         assert f"{bad}, line 3: expected 2 cells, got {bad_row.count(',') + 1}" in err
+
+    @pytest.mark.parametrize(
+        "name, bad_row, column",
+        [
+            ("bookstore.csv", ",A11", "tid"),
+            ("bookstore.csv", "  ,A12", "tid"),
+            ("bookstore_taxonomy.csv", ",Zebra book", "code"),
+        ],
+    )
+    def test_blank_key_cell_exits_1(self, tmp_path, capsys, name, bad_row, column):
+        bad, paths = self.write_with_row(tmp_path, name, bad_row.encode())
+        assert self.mine_files(*paths.values()) == 1
+        assert f"{bad}, line 3: blank {column}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, bad_row",

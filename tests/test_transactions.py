@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from helpers import idx
@@ -7,9 +10,9 @@ from pincer_ml.errors import (
     LevelOutOfRange,
     UnknownItem,
 )
-from pincer_ml.itemsets import to_mask
-from pincer_ml.gen import random_dataset
-from pincer_ml.taxonomy import generalize, load_taxonomy, parse_code
+from pincer_ml.itemsets import to_items, to_mask
+from pincer_ml.gen import random_dataset, transaction_csv_rows
+from pincer_ml.taxonomy import _csv_records, generalize, load_taxonomy, parse_code
 from pincer_ml.transactions import (
     PassCounter,
     count_many,
@@ -23,19 +26,24 @@ TINY = load_taxonomy(
 )
 
 
+def leaves_of(db, row):
+    """The leaf codes that a row of ``db`` holds."""
+    return frozenset(db.leaves[i] for i in to_items(row))
+
+
 class TestLoadTransactions:
     def test_grouping_keeps_first_appearance_order(self):
         db = load_transactions(
             [("T2", "A11"), ("T1", "B11"), ("T2", "B11")], TINY
         )
-        assert [tid for tid, _ in db.transactions] == ["T2", "T1"]
-        assert db.transactions[0][1] == frozenset(
+        assert db.tids == ("T2", "T1")
+        assert leaves_of(db, db.rows[0]) == frozenset(
             {parse_code("A11"), parse_code("B11")}
         )
 
     def test_duplicates_collapse(self):
         db = load_transactions([("T1", "A11"), ("T1", "A11")], TINY)
-        assert len(db.transactions[0][1]) == 1
+        assert len(leaves_of(db, db.rows[0])) == 1
 
     def test_unknown_item(self):
         with pytest.raises(UnknownItem, match="record 2"):
@@ -60,10 +68,10 @@ class TestBookstoreDb:
         assert len(bookstore) == 15
 
     def test_first_and_last_basket(self, bookstore):
-        tid, items = bookstore.transactions[0]
+        tid, items = bookstore.tids[0], leaves_of(bookstore, bookstore.rows[0])
         assert tid == "T1"
         assert {c.text for c in items} == {"A11", "E11", "F11", "H11"}
-        tid, items = bookstore.transactions[-1]
+        tid, items = bookstore.tids[-1], leaves_of(bookstore, bookstore.rows[-1])
         assert tid == "T15"
         assert {c.text for c in items} == {"B11", "C11", "I11"}
 
@@ -83,8 +91,54 @@ class TestBookstoreDb:
     def test_fingerprint_tracks_content(self, bookstore):
         from pincer_ml.transactions import TransactionDB
 
-        trimmed = TransactionDB(bookstore.transactions[:-1], bookstore.taxonomy)
+        trimmed = TransactionDB(
+            bookstore.tids[:-1], bookstore.rows[:-1], bookstore.taxonomy
+        )
         assert trimmed.fingerprint() != bookstore.fingerprint()
+
+
+def reference_load(records, taxonomy):
+    """Grouping as it was written: one frozenset of codes per basket."""
+    baskets = {}
+    for tid, text in records:
+        baskets.setdefault(tid, set()).add(parse_code(text, taxonomy.total_levels))
+    return [(tid, frozenset(items)) for tid, items in baskets.items()]
+
+
+def reference_digest(baskets, taxonomy):
+    """The fingerprint as it was written, over sets of codes."""
+    parts = [str(taxonomy.total_levels)]
+    parts.extend(sorted(leaf.text for leaf in taxonomy.codes))
+    for tid, items in baskets:
+        parts.append("|" + tid)
+        parts.extend("," + text for text in sorted(code.text for code in items))
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
+class TestLoadAgainstReference:
+    def check(self, records, taxonomy):
+        db = load_transactions(records, taxonomy)
+        baskets = reference_load(records, taxonomy)
+        assert db.tids == tuple(tid for tid, _ in baskets)
+        assert [leaves_of(db, row) for row in db.rows] == [b for _, b in baskets]
+        assert db.fingerprint() == reference_digest(baskets, taxonomy)
+        again = load_transactions(transaction_csv_rows(db), taxonomy)
+        assert (again.tids, again.rows) == (db.tids, db.rows)
+
+    def test_bookstore(self, bookstore_taxonomy):
+        from conftest import DATA
+
+        records = list(_csv_records(DATA / "bookstore.csv", ("tid", "item")))
+        self.check(records, bookstore_taxonomy)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_datasets(self, seed):
+        taxonomy = random_dataset(seed, total_levels=1 + seed % 4).taxonomy
+        texts = sorted(leaf.text for leaf in taxonomy.codes)
+        # Tids drawn with repeats, so baskets interleave and pairs collapse.
+        rng = random.Random(seed)
+        records = [(f"T{rng.randint(1, 30)}", rng.choice(texts)) for _ in range(150)]
+        self.check(records, taxonomy)
 
 
 class TestProjection:
@@ -141,9 +195,9 @@ def reference_projection(db, level, vocabulary_filter=None):
         vocabulary = tuple(sorted(set(vocabulary_filter)))
     index = {code: j for j, code in enumerate(vocabulary)}
     rows = []
-    for _tid, items in db.transactions:
+    for leaf_row in db.rows:
         row = 0
-        for leaf in items:
+        for leaf in leaves_of(db, leaf_row):
             j = index.get(generalize(leaf, level))
             if j is not None:
                 row |= 1 << j
