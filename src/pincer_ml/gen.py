@@ -10,7 +10,6 @@ import string
 from collections.abc import Sequence
 
 from .errors import ConfigError
-from .itemsets import bits
 from .taxonomy import ItemCode, Taxonomy, load_taxonomy
 from .transactions import LevelMatrix, TransactionDB, load_transactions
 
@@ -128,7 +127,7 @@ def taxonomy_csv_rows(taxonomy: Taxonomy) -> list[tuple[str, str]]:
 def transaction_csv_rows(db: TransactionDB) -> list[tuple[str, str]]:
     """(tid, item) rows in original transaction order."""
     texts = [leaf.text for leaf in db.leaves]
-    return [(tid, texts[i]) for tid, row in zip(db.tids, db.rows) for i in bits(row)]
+    return [(tid, texts[i]) for tid, row in zip(db.tids, db.rows) for i in row]
 
 
 def dataset_csv_rows(

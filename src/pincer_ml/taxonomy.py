@@ -12,6 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -53,6 +54,9 @@ class ItemCode:
 
     def __lt__(self, other: "ItemCode") -> bool:
         return self.text < other.text
+
+
+_text = attrgetter("text")
 
 
 def parse_code(text: str, total_levels: int = DEFAULT_LEVELS) -> ItemCode:
@@ -109,20 +113,26 @@ class Taxonomy:
 
     @cached_property
     def _by_depth(self) -> dict[int, tuple[ItemCode, ...]]:
-        table: dict[int, tuple[ItemCode, ...]] = {}
-        for depth in range(1, self.total_levels + 1):
-            table[depth] = tuple(
-                sorted({generalize(leaf, depth) for leaf in self.codes})
-            )
-        return table
+        return {}
 
     def codes_at_depth(self, depth: int) -> tuple[ItemCode, ...]:
-        """All nodes at ``depth``, sorted by code text."""
+        """All nodes at ``depth``, sorted by code text.
+
+        Each depth is built on first use; the leaves need no generalizing.
+        """
         if not 1 <= depth <= self.total_levels:
             raise LevelOutOfRange(
                 f"depth {depth} outside 1..{self.total_levels}"
             )
-        return self._by_depth[depth]
+        codes = self._by_depth.get(depth)
+        if codes is None:
+            nodes = (
+                self.codes
+                if depth == self.total_levels
+                else {generalize(leaf, depth) for leaf in self.codes}
+            )
+            codes = self._by_depth[depth] = tuple(sorted(nodes, key=_text))
+        return codes
 
     def name_of(self, code: ItemCode) -> str:
         return self.names[code]

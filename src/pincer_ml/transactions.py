@@ -7,6 +7,7 @@ population count.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,14 +28,15 @@ class PassCounter:
 
 @dataclass(frozen=True, eq=False)
 class TransactionDB:
-    """Raw transactions as leaf masks: one (tid, row) pair per basket.
+    """Raw transactions as leaf indices: one (tid, row) pair per basket.
 
-    Bit ``i`` of ``rows[t]`` stands for ``leaves[i]``, the taxonomy's
-    leaves sorted by code text, so bit order and text order agree.
+    ``rows[t]`` lists, in ascending order, the indices ``i`` of the
+    leaves ``leaves[i]`` in basket ``t``.  The leaves are the taxonomy's
+    leaves sorted by code text, so index order and text order agree.
     """
 
     tids: tuple[str, ...]
-    rows: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
     taxonomy: Taxonomy
 
     @property
@@ -62,7 +64,7 @@ class TransactionDB:
         parts = [str(self.taxonomy.total_levels), *texts]
         for tid, row in zip(self.tids, self.rows):
             parts.append("|" + tid)
-            parts.extend("," + texts[i] for i in bits(row))
+            parts.extend("," + texts[i] for i in row)
         return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
@@ -73,23 +75,24 @@ def load_transactions(
 
     Transactions keep first-appearance order; repeated (tid, item) pairs
     collapse.  Every item must be a leaf of the taxonomy; each distinct
-    item text is parsed once and mapped to its leaf bit.
+    item text is parsed once and mapped to its leaf index.
     """
     leaves = taxonomy.codes_at_depth(taxonomy.total_levels)
-    leaf_bit = {leaf: 1 << i for i, leaf in enumerate(leaves)}
-    bit_of: dict[str, int] = {}
-    baskets: dict[str, int] = {}
-    get = baskets.get
+    leaf_index = {leaf.text: i for i, leaf in enumerate(leaves)}
+    index_of: dict[str, int] = {}
+    baskets: defaultdict[str, set[int]] = defaultdict(set)
     for position, (tid, text) in enumerate(records, start=1):
-        bit = bit_of.get(text)
-        if bit is None:
+        i = index_of.get(text)
+        if i is None:
             try:
-                code = _parse_item(text, taxonomy)
+                _parse_item(text, taxonomy)
             except MiningError as exc:
                 raise type(exc)(f"record {position}: {exc}") from exc
-            bit = bit_of[text] = leaf_bit[code]
-        baskets[tid] = get(tid, 0) | bit
-    return TransactionDB(tuple(baskets), tuple(baskets.values()), taxonomy)
+            # A leaf's code text is the text it was parsed from.
+            i = index_of[text] = leaf_index[text]
+        baskets[tid].add(i)
+    rows = tuple(tuple(sorted(basket)) for basket in baskets.values())
+    return TransactionDB(tuple(baskets), rows, taxonomy)
 
 
 def _parse_item(text: str, taxonomy: Taxonomy) -> ItemCode:
@@ -140,7 +143,7 @@ def project_to_level(
 ) -> LevelMatrix:
     """Generalize every transaction to ``level`` and build the bit matrix.
 
-    Each leaf of the taxonomy is generalized once, to the bit of its
+    Each leaf that occurs in ``db`` is generalized once, to the bit of its
     ancestor; distinct leaves sharing an ancestor collapse into one bit.
     With a filter, only the given depth-``level`` codes become columns;
     rows for transactions with no retained item are kept as zero rows so
@@ -160,14 +163,16 @@ def project_to_level(
     else:
         vocabulary = db.taxonomy.codes_at_depth(level)
     index = {code: j for j, code in enumerate(vocabulary)}
-    leaf_bits = []
-    for leaf in db.leaves:
-        j = index.get(generalize(leaf, level))
-        leaf_bits.append(0 if j is None else 1 << j)
+    leaves = db.leaves
+    leaf_bits = [0] * len(leaves)
+    for i in set().union(*db.rows):
+        j = index.get(generalize(leaves[i], level))
+        if j is not None:
+            leaf_bits[i] = 1 << j
     rows = []
     for leaf_row in db.rows:
         row = 0
-        for i in bits(leaf_row):
+        for i in leaf_row:
             row |= leaf_bits[i]
         rows.append(row)
     return LevelMatrix(level, vocabulary, tuple(rows))

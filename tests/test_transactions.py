@@ -1,5 +1,7 @@
 import hashlib
 import random
+import string
+import tracemalloc
 
 import pytest
 
@@ -10,7 +12,7 @@ from pincer_ml.errors import (
     LevelOutOfRange,
     UnknownItem,
 )
-from pincer_ml.itemsets import to_items, to_mask
+from pincer_ml.itemsets import to_mask
 from pincer_ml.gen import random_dataset, transaction_csv_rows
 from pincer_ml.taxonomy import _csv_records, generalize, load_taxonomy, parse_code
 from pincer_ml.transactions import (
@@ -28,7 +30,8 @@ TINY = load_taxonomy(
 
 def leaves_of(db, row):
     """The leaf codes that a row of ``db`` holds."""
-    return frozenset(db.leaves[i] for i in to_items(row))
+    assert list(row) == sorted(set(row)), row
+    return frozenset(db.leaves[i] for i in row)
 
 
 class TestLoadTransactions:
@@ -139,6 +142,31 @@ class TestLoadAgainstReference:
         rng = random.Random(seed)
         records = [(f"T{rng.randint(1, 30)}", rng.choice(texts)) for _ in range(150)]
         self.check(records, taxonomy)
+
+
+class TestWideTaxonomy:
+    def test_load_memory_does_not_grow_with_width(self):
+        # 26 * 36 * 36 = 33,696 leaves.  A table of one width-sized int
+        # per leaf would take about 70 MB; a row is a few item slots.
+        symbols = string.digits + string.ascii_uppercase
+        taxonomy = load_taxonomy(
+            (a + b + c, "")
+            for a in string.ascii_uppercase
+            for b in symbols
+            for c in symbols
+        )
+        texts = [leaf.text for leaf in taxonomy.codes_at_depth(3)]
+        rng = random.Random(0)
+        records = [(f"T{t}", rng.choice(texts)) for t in range(200) for _ in range(5)]
+        tracemalloc.start()
+        try:
+            db = load_transactions(records, taxonomy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert db.n_transactions == 200
+        assert all(db.leaves[i].text in texts for row in db.rows for i in row)
 
 
 class TestProjection:
