@@ -172,15 +172,11 @@ class ComparisonReport:
     results_match: bool
 
 
-def _frequent_by_size(
-    frequent: tuple[FrequentSet, ...], vocabulary: tuple[ItemCode, ...]
-) -> dict[int, list[tuple[str, ...]]]:
+def _frequent_by_size(itemsets) -> dict[int, list[tuple[str, ...]]]:
+    """Group text tuples by length; each group comes out sorted."""
     table: dict[int, list[tuple[str, ...]]] = {}
-    for fs in frequent:
-        texts = tuple(vocabulary[i].text for i in fs.itemset)
-        table.setdefault(len(fs.itemset), []).append(texts)
-    for rows in table.values():
-        rows.sort()
+    for texts in sorted(itemsets):
+        table.setdefault(len(texts), []).append(texts)
     return table
 
 
@@ -208,7 +204,7 @@ def compare(a: MultiLevelResult, b: MlT2l1Result) -> ComparisonReport:
         map_b = _as_support_map(lr_b.frequent, lr_b.vocabulary)
         if map_a != map_b:
             results_match = False
-        sizes_a = _frequent_by_size(lr_a.frequent, lr_a.vocabulary)
+        sizes_a = _frequent_by_size(map_a)
         cand_a = {step.k: step.candidates for step in lr_a.pincer.trace.steps}
         cand_b = {step.k: step.candidates for step in lr_b.trace}
         freq_b = {step.k: step.frequent for step in lr_b.trace}

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,7 @@ from .multilevel import (
 )
 from .rules import Rule, generate_rules
 from .taxonomy import ItemCode, read_taxonomy_csv
-from .transactions import TransactionDB, project_to_level, read_transactions_csv
+from .transactions import project_to_level, read_transactions_csv
 
 # baselines, oracle and gen are imported inside the commands that use
 # them, so ``mine`` loads none of them.
@@ -120,7 +121,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get(SEED_ENV, "0")),
+        default=None,
         help=f"RNG seed (default: ${SEED_ENV} or 0)",
     )
     p_gen.add_argument("--roots", type=int, default=4)
@@ -178,9 +179,15 @@ def parse_confidence(text: str) -> Fraction:
     return value
 
 
-def _load_db(args) -> TransactionDB:
-    taxonomy = read_taxonomy_csv(args.taxonomy)
-    return read_transactions_csv(args.transactions, taxonomy)
+def _mine_levels(args, policy: DescentPolicy):
+    """Load both CSVs, resolve ``--minsup``, mine; return (db, config, result)."""
+    db = read_transactions_csv(args.transactions, read_taxonomy_csv(args.taxonomy))
+    levels = db.taxonomy.total_levels
+    minsup = parse_minsup(args.minsup, args.support_mode, db.n_transactions, levels)
+    config = LevelConfig(
+        minsup_per_level=minsup, total_levels=levels, descent_policy=policy
+    )
+    return db, config, mine_multilevel(db, config)
 
 
 def _meta(command: str) -> dict:
@@ -293,17 +300,8 @@ def _render_mine_text(payload: dict) -> str:
 
 
 def cmd_mine(args) -> int:
-    db = _load_db(args)
     min_conf = parse_confidence(args.min_conf)
-    minsup = parse_minsup(
-        args.minsup, args.support_mode, db.n_transactions, db.taxonomy.total_levels
-    )
-    config = LevelConfig(
-        minsup_per_level=minsup,
-        total_levels=db.taxonomy.total_levels,
-        descent_policy=DescentPolicy(args.policy),
-    )
-    result = mine_multilevel(db, config)
+    _, _, result = _mine_levels(args, DescentPolicy(args.policy))
     rules_per_level = [
         generate_rules(lr.frequent, min_conf, lr.level) for lr in result.levels
     ]
@@ -316,38 +314,11 @@ def cmd_mine(args) -> int:
 
 
 def _compare_payload(report: ComparisonReport) -> dict:
-    levels = []
-    for level in report.levels:
-        levels.append(
-            {
-                "level": level.level,
-                "pincer_passes": level.pincer_passes,
-                "baseline_passes": level.baseline_passes,
-                "rows": [
-                    {
-                        "k": row.k,
-                        "frequent_itemsets": [list(s) for s in row.frequent_itemsets],
-                        "pincer_candidates": row.pincer_candidates,
-                        "baseline_candidates": row.baseline_candidates,
-                        "pincer_frequent": row.pincer_frequent,
-                        "baseline_frequent": row.baseline_frequent,
-                    }
-                    for row in level.rows
-                ],
-            }
-        )
-    totals = {
-        "pincer_passes": report.pincer_passes,
-        "pincer_expansion_passes": report.pincer_expansion_passes,
-        "baseline_passes": report.baseline_passes,
-        "pincer_candidates": sum(
-            row.pincer_candidates for level in report.levels for row in level.rows
-        ),
-        "baseline_candidates": sum(
-            row.baseline_candidates for level in report.levels for row in level.rows
-        ),
-        "results_match": report.results_match,
-    }
+    totals = asdict(report)
+    levels = totals.pop("levels")
+    rows = [row for level in levels for row in level["rows"]]
+    for side in ("pincer", "baseline"):
+        totals[f"{side}_candidates"] = sum(row[f"{side}_candidates"] for row in rows)
     return {"levels": levels, "totals": totals}
 
 
@@ -381,18 +352,9 @@ def _render_compare_text(payload: dict) -> str:
 def cmd_compare(args) -> int:
     from .baselines import compare, ml_t2l1
 
-    db = _load_db(args)
-    minsup = parse_minsup(
-        args.minsup, args.support_mode, db.n_transactions, db.taxonomy.total_levels
-    )
     # The baseline only knows frequent-parents descent, so the engine is
     # run with the same policy to keep the comparison apples to apples.
-    config = LevelConfig(
-        minsup_per_level=minsup,
-        total_levels=db.taxonomy.total_levels,
-        descent_policy=DescentPolicy.FREQUENT_PARENTS,
-    )
-    mined = mine_multilevel(db, config)
+    db, config, mined = _mine_levels(args, DescentPolicy.FREQUENT_PARENTS)
     baseline = ml_t2l1(db, config)
     report = compare(mined, baseline)
     payload = _compare_payload(report)
@@ -406,16 +368,7 @@ def cmd_compare(args) -> int:
 def cmd_oracle_check(args) -> int:
     from .oracle import brute_force
 
-    db = _load_db(args)
-    minsup = parse_minsup(
-        args.minsup, args.support_mode, db.n_transactions, db.taxonomy.total_levels
-    )
-    config = LevelConfig(
-        minsup_per_level=minsup,
-        total_levels=db.taxonomy.total_levels,
-        descent_policy=DescentPolicy(args.policy),
-    )
-    result = mine_multilevel(db, config)
+    db, _, result = _mine_levels(args, DescentPolicy(args.policy))
     levels = []
     all_match = True
     for lr in result.levels:
@@ -470,8 +423,15 @@ def cmd_gen(args) -> int:
         raise ConfigError(f"--rows must be non-negative, got {args.rows}")
     if args.levels < 1:
         raise ConfigError(f"--levels must be positive, got {args.levels}")
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get(SEED_ENV, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ConfigError(f"${SEED_ENV} must be an integer, got {text!r}") from None
     db = random_dataset(
-        seed=args.seed,
+        seed=seed,
         n_roots=args.roots,
         max_children=args.max_children,
         total_levels=args.levels,
@@ -481,7 +441,7 @@ def cmd_gen(args) -> int:
     _write_csv(args.taxonomy, ("code", "name"), taxonomy_csv_rows(db.taxonomy))
     _write_csv(args.transactions, ("tid", "item"), transaction_csv_rows(db))
     payload = {
-        "seed": args.seed,
+        "seed": seed,
         "taxonomy": args.taxonomy,
         "transactions": args.transactions,
         "leaves": len(db.taxonomy),
@@ -528,14 +488,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ConfigError, InvalidMinsup, InvalidConfidence) as exc:
-        print(f"pincer-ml: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (VocabularyTooLarge, ItemsetTooLarge) as exc:
-        print(f"pincer-ml: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
     except (MiningError, OSError) as exc:
         print(f"pincer-ml: {exc}", file=sys.stderr)
+        if isinstance(exc, (ConfigError, InvalidMinsup, InvalidConfidence)):
+            return EXIT_USAGE
+        if isinstance(exc, (VocabularyTooLarge, ItemsetTooLarge)):
+            return EXIT_LIMIT
         return EXIT_RUNTIME
 
 

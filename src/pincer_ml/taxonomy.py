@@ -93,11 +93,6 @@ def generalize(code: ItemCode, level: int) -> ItemCode:
     return ItemCode(code.path[:level], code.total_levels)
 
 
-def is_ancestor(a: ItemCode, b: ItemCode) -> bool:
-    """True when ``a`` is a strict ancestor of ``b`` in the tree."""
-    return a.depth < b.depth and b.path[: a.depth] == a.path
-
-
 @dataclass(frozen=True, eq=False)
 class Taxonomy:
     """All fully specified codes plus display names for every node.
@@ -176,15 +171,16 @@ def load_taxonomy(
         raise EmptyTaxonomy("no records")
     if not leaves:
         raise EmptyTaxonomy("no fully specified codes")
+    ancestors = {
+        generalize(leaf, depth) for leaf in leaves for depth in range(1, total_levels)
+    }
     for position, code in interior:
-        if not any(is_ancestor(code, leaf) for leaf in leaves):
+        if code not in ancestors:
             raise DanglingCode(
                 f"record {position}: {code.text!r} has no leaf beneath it"
             )
-    for leaf in leaves:
-        for depth in range(1, total_levels):
-            ancestor = generalize(leaf, depth)
-            names.setdefault(ancestor, ancestor.text)
+    for ancestor in ancestors:
+        names.setdefault(ancestor, ancestor.text)
     return Taxonomy(frozenset(leaves), names, total_levels)
 
 

@@ -222,6 +222,21 @@ class TestGen:
         )
         assert json.loads(capsys.readouterr().out)["seed"] == 31
 
+    def test_malformed_seed_env_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PINCER_ML_SEED", "abc")
+        code = run(
+            "gen",
+            "--taxonomy", str(tmp_path / "t.csv"),
+            "--transactions", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "PINCER_ML_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_malformed_seed_env_is_ignored_by_mine(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PINCER_ML_SEED", "abc")
+        assert run(*mine_args(out=tmp_path / "r.json")) == 0
+
     def test_runaway_tree_exits_2(self, tmp_path, capsys):
         # About 4 * 2**39 leaves: refused while the tree is still small.
         code = run(
@@ -270,6 +285,40 @@ class TestJsonLayout:
         assert run(*args, "--format", "json") == 0
         text = capsys.readouterr().out
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+GOLDEN_REPORTS = {
+    "bookstore_mine_322.txt": [*bookstore_args("mine"), "--format", "text"],
+    "bookstore_mine_maximal_fractional.txt": [
+        *bookstore_args("mine")[:-2],
+        "--minsup", "0.2,0.13,0.13",
+        "--support-mode", "fractional",
+        "--policy", "maximal-itemset-items",
+        "--min-conf", "0.7",
+        "--format", "text",
+    ],
+    "bookstore_compare_322.txt": [*bookstore_args("compare"), "--format", "text"],
+    "bookstore_compare_322.json": bookstore_args("compare"),
+    "bookstore_oracle_check_322.txt": [
+        *bookstore_args("oracle-check"), "--format", "text",
+    ],
+    "bookstore_oracle_check_322.json": bookstore_args("oracle-check"),
+}
+
+
+class TestGoldenReports:
+    """Every report byte for byte; a JSON golden holds the body without ``meta``."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_bytes(self, capsys, name):
+        assert run(*GOLDEN_REPORTS[name]) == 0
+        text = capsys.readouterr().out
+        expected = (GOLDEN / name).read_text(encoding="utf-8")
+        if name.endswith(".json"):
+            body = json.loads(expected)
+            report = {"meta": json.loads(text)["meta"], **body}
+            expected = json.dumps(report, sort_keys=True) + "\n"
+        assert text == expected
 
 
 class TestFingerprintUse:

@@ -1,3 +1,6 @@
+import string
+import sys
+
 import pytest
 
 from pincer_ml.errors import (
@@ -14,7 +17,6 @@ from pincer_ml.errors import (
 from pincer_ml.taxonomy import (
     ItemCode,
     generalize,
-    is_ancestor,
     load_taxonomy,
     parse_code,
     read_taxonomy_csv,
@@ -74,13 +76,6 @@ class TestGeneralize:
         with pytest.raises(LevelOutOfRange):
             generalize(parse_code("C1*"), 3)
 
-    def test_is_ancestor_is_strict(self):
-        assert is_ancestor(parse_code("C**"), parse_code("C12"))
-        assert is_ancestor(parse_code("C1*"), parse_code("C12"))
-        assert not is_ancestor(parse_code("C12"), parse_code("C12"))
-        assert not is_ancestor(parse_code("C12"), parse_code("C1*"))
-        assert not is_ancestor(parse_code("D**"), parse_code("C12"))
-
 
 class TestItemCode:
     def test_sorts_by_text(self):
@@ -123,6 +118,33 @@ class TestLoadTaxonomy:
     def test_bad_record_is_positioned(self):
         with pytest.raises(BadLength, match="record 2"):
             load_taxonomy([("A11", "ok"), ("B1", "short")])
+
+    @staticmethod
+    def _calls_to_load(n):
+        """Python-level calls made loading n leaves, each under its own named node."""
+        symbols = string.ascii_letters + string.digits
+        records = []
+        for i in range(n):
+            node = symbols[i // len(symbols)] + symbols[i % len(symbols)]
+            records += [(node + "*", f"node {i}"), (node + "0", f"leaf {i}")]
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            tax = load_taxonomy(records)
+        finally:
+            sys.setprofile(None)
+        assert len(tax) == n
+        return calls
+
+    def test_named_interior_nodes_load_in_linear_work(self):
+        # A scan of every leaf per named node would make this ratio about 4.
+        ratio = self._calls_to_load(1000) / self._calls_to_load(500)
+        assert ratio <= 2.5
 
 
 class TestBookstoreCatalog:
