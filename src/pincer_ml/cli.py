@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -40,7 +41,7 @@ from .multilevel import (
     mine_multilevel,
 )
 from .rules import Rule, generate_rules
-from .taxonomy import ItemCode, read_taxonomy_csv
+from .taxonomy import read_taxonomy_csv
 from .transactions import project_to_level, read_transactions_csv
 
 # baselines, oracle and gen are imported inside the commands that use
@@ -201,10 +202,6 @@ def _meta(command: str) -> dict:
     }
 
 
-def _texts(itemset, vocabulary: tuple[ItemCode, ...]) -> list[str]:
-    return [vocabulary[i].text for i in itemset]
-
-
 # ---------------------------------------------------------------- mine
 
 
@@ -215,30 +212,39 @@ def _mine_payload(
 ) -> dict:
     levels = []
     for lr, rules in zip(result.levels, rules_per_level):
-        vocab = lr.vocabulary
+        # One text tuple per itemset and one text per support count: every
+        # maximal set, antecedent and consequent is a frequent set of the
+        # level, and JSON encodes the shared tuples as arrays.
+        names = [code.text for code in lr.vocabulary]
+        texts = {}
+        fractions = {}
+        for fs in lr.frequent:
+            texts[fs.itemset] = tuple([names[i] for i in fs.itemset])
+            if fs.support_count not in fractions:
+                fractions[fs.support_count] = str(fs.support_fraction)
         levels.append(
             {
                 "level": lr.level,
                 "minsup": lr.minsup,
-                "vocabulary_size": len(vocab),
+                "vocabulary_size": len(lr.vocabulary),
                 "mining_passes": lr.mining_passes,
                 "expansion_passes": lr.expansion_passes,
                 "maximal_frequent_sets": [
-                    {"items": _texts(s, vocab), "support": c}
+                    {"items": texts[s], "support": c}
                     for s, c in lr.pincer.mfs.items()
                 ],
                 "frequent_itemsets": [
                     {
-                        "items": _texts(fs.itemset, vocab),
+                        "items": texts[fs.itemset],
                         "support": fs.support_count,
-                        "fraction": str(fs.support_fraction),
+                        "fraction": fractions[fs.support_count],
                     }
                     for fs in lr.frequent
                 ],
                 "rules": [
                     {
-                        "antecedent": _texts(r.antecedent, vocab),
-                        "consequent": _texts(r.consequent, vocab),
+                        "antecedent": texts[r.antecedent],
+                        "consequent": texts[r.consequent],
                         "support": r.support_count,
                         "confidence": str(r.confidence),
                     }
@@ -498,6 +504,9 @@ def main(argv=None) -> int:
 
 
 def app() -> None:
+    # Move import-time objects out of the collector's scans, at exit too.
+    gc.collect()
+    gc.freeze()
     sys.exit(main())
 
 

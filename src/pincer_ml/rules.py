@@ -16,6 +16,9 @@ from .itemsets import Itemset, to_items, to_mask
 from .transactions import LevelMatrix, PassCounter, count_many
 
 MAX_EXPANSION_ITEMS = 24
+# Raw rules, the sum of 2**|z| - 2, that one family may yield: every
+# subset of a 12-item set gives 523,250, of a 13-item set 1,577,940.
+MAX_RULE_CANDIDATES = 2**20
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,8 @@ def generate_rules(
     nonempty proper subset as antecedent) before filtering.  Output is
     sorted by confidence then support, both descending, then by
     antecedent and consequent; vocabulary indices follow text order, so
-    the tiebreak is the textual one.
+    the tiebreak is the textual one.  A family with more than
+    ``MAX_RULE_CANDIDATES`` raw rules is refused before any is built.
 
     Confidence is ordered by ``z * S**2 // x``, S the largest support:
     two distinct ratios with denominators at most S differ by at least
@@ -91,9 +95,17 @@ def generate_rules(
     # z / x >= num / den, compared exactly in integers, as Fraction >= float is.
     num, den = Fraction(min_conf).as_integer_ratio()
     support = {to_mask(fs.itemset): fs.support_count for fs in frequent}
+    candidates = sum((1 << z.bit_count()) - 2 for z in support)
+    if candidates > MAX_RULE_CANDIDATES:
+        raise ItemsetTooLarge(
+            f"the frequent family has {candidates} candidate rules; "
+            f"the rule limit is {MAX_RULE_CANDIDATES}"
+        )
     scale = max(support.values(), default=0) ** 2
     kept = []
     for z, z_support in support.items():
+        # num and den are positive, so z * den >= num * x iff x <= z * den // num.
+        limit = z_support * den // num
         x = (z - 1) & z
         while x:
             x_support = support.get(x)
@@ -102,15 +114,21 @@ def generate_rules(
                     f"no support recorded for {to_items(x)}, needed by a "
                     f"rule from {to_items(z)}; expand the frequent family first"
                 )
-            if z_support * den >= num * x_support:
-                kept.append((
-                    -(z_support * scale // x_support), -z_support,
-                    to_items(x), to_items(z & ~x), x_support,
-                ))
+            if x_support <= limit:
+                kept.append(
+                    (-(z_support * scale // x_support), -z_support, x, z, x_support)
+                )
             x = (x - 1) & z
+    # The walk looked up every proper subset, so every consequent has items.
+    items = {m: to_items(m) for m in support}
+    kept = [(key, nz, items[x], items[z & ~x], xs) for key, nz, x, z, xs in kept]
     # (antecedent, consequent) is unique per rule, so x_support never decides.
     kept.sort()
+    ratios: dict[tuple[int, int], Fraction] = {}
+    for _, neg_z, _, _, x_support in kept:
+        if (neg_z, x_support) not in ratios:
+            ratios[neg_z, x_support] = Fraction(-neg_z, x_support)
     return [
-        Rule(antecedent, consequent, -neg_z, Fraction(-neg_z, x_support), level)
+        Rule(antecedent, consequent, -neg_z, ratios[neg_z, x_support], level)
         for _, neg_z, antecedent, consequent, x_support in kept
     ]

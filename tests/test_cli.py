@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,11 @@ from hypothesis import strategies as st
 
 import pincer_ml
 from conftest import DATA, GOLDEN
-from pincer_ml.cli import main
+from pincer_ml.cli import _mine_payload, main
 from pincer_ml.errors import MiningError
+from pincer_ml.gen import random_dataset
+from pincer_ml.multilevel import DescentPolicy, LevelConfig, mine_multilevel
+from pincer_ml.rules import generate_rules
 from pincer_ml.transactions import TransactionDB
 
 
@@ -36,6 +41,19 @@ def mine_args(*extra, out=None):
     if out is not None:
         args.extend(["--out", out])
     return args
+
+
+SRC = Path(pincer_ml.__file__).resolve().parents[1]
+SCRIPTS = DATA.parent / "scripts"
+
+
+def python_with_src(*argv):
+    """Run ``python argv`` in a fresh interpreter that imports from ``SRC``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *map(str, argv)], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
 
 
 def body_of(path):
@@ -115,6 +133,71 @@ class TestMine:
             "confidence": "1",
         }
         assert rule in level1["rules"]
+
+
+def reference_payload(result, rules_per_level, min_conf):
+    """The mine payload as built with one new text list per printed itemset."""
+
+    def texts(itemset, vocabulary):
+        return [vocabulary[i].text for i in itemset]
+
+    levels = []
+    for lr, rules in zip(result.levels, rules_per_level):
+        vocab = lr.vocabulary
+        levels.append({
+            "level": lr.level,
+            "minsup": lr.minsup,
+            "vocabulary_size": len(vocab),
+            "mining_passes": lr.mining_passes,
+            "expansion_passes": lr.expansion_passes,
+            "maximal_frequent_sets": [
+                {"items": texts(s, vocab), "support": c}
+                for s, c in lr.pincer.mfs.items()
+            ],
+            "frequent_itemsets": [
+                {
+                    "items": texts(fs.itemset, vocab),
+                    "support": fs.support_count,
+                    "fraction": str(Fraction(fs.support_count, fs.n_transactions)),
+                }
+                for fs in lr.frequent
+            ],
+            "rules": [
+                {
+                    "antecedent": texts(r.antecedent, vocab),
+                    "consequent": texts(r.consequent, vocab),
+                    "support": r.support_count,
+                    "confidence": str(r.confidence),
+                }
+                for r in rules
+            ],
+        })
+    totals = {
+        "mining_passes": result.mining_passes,
+        "expansion_passes": result.expansion_passes,
+        "passes": result.total_passes,
+        "frequent_itemsets": sum(len(lr.frequent) for lr in result.levels),
+        "rules": sum(len(rules) for rules in rules_per_level),
+        "min_conf": str(min_conf),
+    }
+    return {"levels": levels, "totals": totals}
+
+
+class TestMinePayload:
+    @pytest.mark.parametrize("policy", list(DescentPolicy))
+    @pytest.mark.parametrize("seed", range(30))
+    def test_bytes_equal_the_reference(self, seed, policy):
+        rng = random.Random(seed)
+        db = random_dataset(seed, n_transactions=30)
+        config = LevelConfig((rng.randint(2, 5),) * 3, 3, policy)
+        result = mine_multilevel(db, config)
+        min_conf = rng.choice([Fraction(1, 2), Fraction(4, 5), Fraction(1)])
+        rules_per_level = [
+            generate_rules(lr.frequent, min_conf, lr.level) for lr in result.levels
+        ]
+        got = _mine_payload(result, rules_per_level, min_conf)
+        want = reference_payload(result, rules_per_level, min_conf)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestCompare:
@@ -356,13 +439,9 @@ class TestImportFootprint:
             "print(sorted(m for m in ('pincer_ml.baselines', 'pincer_ml.oracle', "
             "'pincer_ml.gen', 'hashlib') if m in sys.modules))"
         )
-        src = Path(pincer_ml.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            timeout=60, check=True,
-        ).stdout
-        assert out == "[]\n"
+        done = python_with_src("-c", probe)
+        assert done.returncode == 0
+        assert done.stdout == "[]\n"
 
     def test_every_public_name_resolves(self):
         for name in pincer_ml.__all__:
@@ -375,6 +454,38 @@ class TestImportFootprint:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             pincer_ml.no_such_name
+
+
+CONSOLE_SCRIPT = "from pincer_ml.cli import app; app()"
+
+
+class TestEntryPoints:
+    """The console entry point and the scripts, each in a fresh interpreter."""
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            ([SCRIPTS / "mine_bookstore.py"], "bookstore_mine_322.txt"),
+            ([SCRIPTS / "run_comparison.py"], "bookstore_compare_322.txt"),
+            (
+                ["-c", CONSOLE_SCRIPT, *bookstore_args("mine"), "--format", "text"],
+                "bookstore_mine_322.txt",
+            ),
+        ],
+        ids=["mine_bookstore", "run_comparison", "app"],
+    )
+    def test_prints_the_golden_report(self, argv, golden):
+        done = python_with_src(*argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_app_exits_1_on_a_missing_file(self, tmp_path):
+        args = bookstore_args("mine")
+        args[args.index("--taxonomy") + 1] = tmp_path / "absent.csv"
+        done = python_with_src("-c", CONSOLE_SCRIPT, *args)
+        assert done.returncode == 1
+        assert done.stderr.startswith("pincer-ml: ")
+        assert done.stdout == ""
 
 
 class TestExitCodes:
@@ -430,6 +541,23 @@ class TestExitCodes:
             "--minsup", "3,2,2",
         )
         assert code == 1
+
+    def test_wide_maximal_set_exits_3(self, tmp_path, capsys):
+        # Every row holds all 13 items, so one 13-item maximal set has
+        # 1,577,940 candidate rules, over the rule limit.
+        codes = "ABCDEFGHIJKLM"
+        tax, trx = tmp_path / "t.csv", tmp_path / "x.csv"
+        tax.write_text("code,name\n" + "".join(f"{c},item {c}\n" for c in codes))
+        trx.write_text(
+            "tid,item\n" + "".join(f"T{t},{c}\n" for t in range(3) for c in codes)
+        )
+        code = run(
+            "mine", "--taxonomy", tax, "--transactions", trx, "--minsup", "2",
+            "--out", tmp_path / "r.json",
+        )
+        assert code == 3
+        assert "1577940 candidate rules" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_engine_failure_exits_1(self, monkeypatch, tmp_path):
         def boom(*args, **kwargs):

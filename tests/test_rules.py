@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from helpers import idx, names
+from pincer_ml import rules as rules_module
 from pincer_ml.errors import (
     InvalidConfidence,
     ItemsetTooLarge,
@@ -251,3 +252,60 @@ class TestRulesAgainstReference:
             for min_conf in (Fraction(3, 4), 0.6):
                 got = generate_rules(frequent, min_conf, level=1)
                 assert got == reference_rules(frequent, min_conf, level=1)
+
+
+def every_subset(n_items, support):
+    """Every nonempty subset of ``range(n_items)``, its support from its size."""
+    return [
+        FrequentSet(s, support(len(s)), 100)
+        for size in range(1, n_items + 1)
+        for s in combinations(range(n_items), size)
+    ]
+
+
+class TestRuleWork:
+    def test_refuses_a_family_over_the_candidate_limit(self):
+        # 13 items give 3**13 - 2**14 + 1 raw rules.
+        frequent = every_subset(13, lambda size: 20)
+        with pytest.raises(ItemsetTooLarge, match=r"1577940 .* 1048576"):
+            generate_rules(frequent, Fraction(1, 2), level=1)
+
+    def test_refuses_before_walking(self):
+        # A missing subset would stop the walk; the limit is checked first.
+        frequent = every_subset(13, lambda size: 20)
+        del frequent[0]
+        with pytest.raises(ItemsetTooLarge):
+            generate_rules(frequent, Fraction(1, 2), level=1)
+
+    def test_twelve_items_are_within_the_limit(self):
+        # 523,250 raw rules; every confidence is below 1, so none is kept.
+        frequent = every_subset(12, lambda size: 50 - size)
+        assert generate_rules(frequent, 1, level=1) == []
+
+    def test_names_each_frequent_set_at_most_once(self, monkeypatch):
+        calls = []
+        real_to_items = rules_module.to_items
+
+        def counting(mask):
+            calls.append(mask)
+            return real_to_items(mask)
+
+        monkeypatch.setattr(rules_module, "to_items", counting)
+        rng = random.Random(11)
+        for _ in range(10):
+            matrix = random_matrix(rng, 8, 40, density=0.5)
+            result = pincer_search(matrix, 8)
+            frequent = expand_frequent(frozenset(result.mfs), matrix, PassCounter())
+            calls.clear()
+            got = generate_rules(frequent, Fraction(1, 2), level=1)
+            assert got == reference_rules(frequent, Fraction(1, 2), level=1)
+            assert len(calls) <= len(frequent)
+
+    def test_rules_sharing_a_ratio_share_its_fraction(self, level1_frequent):
+        got = generate_rules(level1_frequent, Fraction(1, 2), level=1)
+        by_ratio = {}
+        for r in got:
+            by_ratio.setdefault((r.support_count, r.confidence), []).append(r)
+        assert any(len(same) > 1 for same in by_ratio.values())
+        for same in by_ratio.values():
+            assert len({id(r.confidence) for r in same}) == 1
