@@ -112,11 +112,12 @@ def random_matrix(
     vocabulary = tuple(
         ItemCode((symbol,), total_levels=1) for symbol in symbols
     )
-    rows = tuple(
-        sum(1 << j for j in range(n_items) if rng.random() < density)
-        for _ in range(n_transactions)
-    )
-    return LevelMatrix(level=1, vocabulary=vocabulary, rows=rows)
+    columns = [0] * n_items
+    for t in range(n_transactions):
+        for j in range(n_items):
+            if rng.random() < density:
+                columns[j] |= 1 << t
+    return LevelMatrix(1, vocabulary, n_transactions, dict(zip(vocabulary, columns)))
 
 
 def taxonomy_csv_rows(taxonomy: Taxonomy) -> list[tuple[str, str]]:

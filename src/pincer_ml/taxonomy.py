@@ -108,26 +108,18 @@ class Taxonomy:
 
     @cached_property
     def _by_depth(self) -> dict[int, tuple[ItemCode, ...]]:
-        return {}
+        by_depth: dict[int, list[ItemCode]] = {}
+        for code in self.names:
+            by_depth.setdefault(code.depth, []).append(code)
+        return {d: tuple(sorted(codes, key=_text)) for d, codes in by_depth.items()}
 
     def codes_at_depth(self, depth: int) -> tuple[ItemCode, ...]:
-        """All nodes at ``depth``, sorted by code text.
-
-        Each depth is built on first use; the leaves need no generalizing.
-        """
+        """All nodes at ``depth``, sorted by code text."""
         if not 1 <= depth <= self.total_levels:
             raise LevelOutOfRange(
                 f"depth {depth} outside 1..{self.total_levels}"
             )
-        codes = self._by_depth.get(depth)
-        if codes is None:
-            nodes = (
-                self.codes
-                if depth == self.total_levels
-                else {generalize(leaf, depth) for leaf in self.codes}
-            )
-            codes = self._by_depth[depth] = tuple(sorted(nodes, key=_text))
-        return codes
+        return self._by_depth[depth]
 
     def name_of(self, code: ItemCode) -> str:
         return self.names[code]
@@ -171,9 +163,13 @@ def load_taxonomy(
         raise EmptyTaxonomy("no records")
     if not leaves:
         raise EmptyTaxonomy("no fully specified codes")
-    ancestors = {
-        generalize(leaf, depth) for leaf in leaves for depth in range(1, total_levels)
-    }
+    # Each depth's nodes are the parents of the depth below, so every
+    # node below the roots is generalized exactly once.
+    ancestors: set[ItemCode] = set()
+    nodes: set[ItemCode] = leaves
+    for depth in range(total_levels - 1, 0, -1):
+        nodes = {generalize(code, depth) for code in nodes}
+        ancestors |= nodes
     for position, code in interior:
         if code not in ancestors:
             raise DanglingCode(

@@ -1,9 +1,8 @@
 """Transaction loading, level projection, and bitset support counting.
 
 A :class:`LevelMatrix` is the Boolean transaction-by-item view of the
-database at one taxonomy depth.  Rows and columns are packed integer
-bitsets, so a support query is a handful of bitwise ANDs followed by a
-population count.
+database at one taxonomy depth.  Its columns are packed integer bitsets,
+so a support query is a handful of bitwise ANDs and a population count.
 """
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Mapping, NoReturn
 
 from .errors import IndexOutOfRange, LevelOutOfRange, MiningError, UnknownItem
 from .itemsets import Itemset, bits, to_mask
@@ -67,6 +66,24 @@ class TransactionDB:
             parts.extend("," + texts[i] for i in row)
         return hashlib.sha256("".join(parts).encode()).hexdigest()
 
+    @cached_property
+    def leaf_columns(self) -> dict[ItemCode, int]:
+        """Transaction bitset of each leaf that occurs (bit t = row t).
+
+        Built once, then shared by the matrices of every level.
+        """
+        size = (len(self.rows) + 7) // 8
+        buffers: defaultdict[int, bytearray] = defaultdict(lambda: bytearray(size))
+        for t, row in enumerate(self.rows):
+            byte, bit = t >> 3, 1 << (t & 7)
+            for i in row:
+                buffers[i][byte] |= bit
+        leaves = self.leaves
+        return {
+            leaves[i]: int.from_bytes(buffer, "little")
+            for i, buffer in buffers.items()
+        }
+
 
 def load_transactions(
     records: Iterable[tuple[str, str]], taxonomy: Taxonomy
@@ -74,34 +91,29 @@ def load_transactions(
     """Group (tid, item text) records into transactions.
 
     Transactions keep first-appearance order; repeated (tid, item) pairs
-    collapse.  Every item must be a leaf of the taxonomy; each distinct
-    item text is parsed once and mapped to its leaf index.
+    collapse.  Every item must be the code text of a leaf of the taxonomy.
     """
     leaves = taxonomy.codes_at_depth(taxonomy.total_levels)
     leaf_index = {leaf.text: i for i, leaf in enumerate(leaves)}
-    index_of: dict[str, int] = {}
     baskets: defaultdict[str, set[int]] = defaultdict(set)
     for position, (tid, text) in enumerate(records, start=1):
-        i = index_of.get(text)
+        i = leaf_index.get(text)
         if i is None:
             try:
-                _parse_item(text, taxonomy)
+                _reject_item(text, taxonomy)
             except MiningError as exc:
                 raise type(exc)(f"record {position}: {exc}") from exc
-            # A leaf's code text is the text it was parsed from.
-            i = index_of[text] = leaf_index[text]
         baskets[tid].add(i)
     rows = tuple(tuple(sorted(basket)) for basket in baskets.values())
     return TransactionDB(tuple(baskets), rows, taxonomy)
 
 
-def _parse_item(text: str, taxonomy: Taxonomy) -> ItemCode:
+def _reject_item(text: str, taxonomy: Taxonomy) -> NoReturn:
+    """Raise the error for an item text that names no leaf."""
     from .taxonomy import parse_code
 
-    code = parse_code(text, taxonomy.total_levels)
-    if code not in taxonomy.codes:
-        raise UnknownItem(f"{text!r} is not a leaf of the taxonomy")
-    return code
+    parse_code(text, taxonomy.total_levels)
+    raise UnknownItem(f"{text!r} is not a leaf of the taxonomy")
 
 
 def read_transactions_csv(path: str | Path, taxonomy: Taxonomy) -> TransactionDB:
@@ -111,28 +123,31 @@ def read_transactions_csv(path: str | Path, taxonomy: Taxonomy) -> TransactionDB
 
 @dataclass(frozen=True, eq=False)
 class LevelMatrix:
-    """Boolean occurrence matrix at one taxonomy depth.
+    """Boolean occurrence matrix at one taxonomy depth, kept by column.
 
-    ``rows[t]`` has bit ``j`` set when transaction ``t`` contains some
+    ``columns[j]`` has bit ``t`` set when transaction ``t`` contains some
     leaf generalizing to ``vocabulary[j]``.  The vocabulary is sorted by
     code text, so index order and text order agree.
     """
 
     level: int
     vocabulary: tuple[ItemCode, ...]
-    rows: tuple[int, ...]
-
-    @property
-    def n_transactions(self) -> int:
-        return len(self.rows)
+    n_transactions: int
+    leaf_columns: Mapping[ItemCode, int]
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
-        """Per-item transaction bitsets (bit t = row t has the item)."""
+        """Per-item transaction bitsets, each the OR of its leaves' columns.
+
+        Each leaf that occurs is generalized once; leaves sharing an
+        ancestor collapse into one column.
+        """
+        index = {code: j for j, code in enumerate(self.vocabulary)}
         cols = [0] * len(self.vocabulary)
-        for t, row in enumerate(self.rows):
-            for j in bits(row):
-                cols[j] |= 1 << t
+        for leaf, column in self.leaf_columns.items():
+            j = index.get(generalize(leaf, self.level))
+            if j is not None:
+                cols[j] |= column
         return tuple(cols)
 
 
@@ -141,13 +156,11 @@ def project_to_level(
     level: int,
     vocabulary_filter: Collection[ItemCode] | None = None,
 ) -> LevelMatrix:
-    """Generalize every transaction to ``level`` and build the bit matrix.
+    """The bit matrix of ``db`` at ``level``, built from its leaf columns.
 
-    Each leaf that occurs in ``db`` is generalized once, to the bit of its
-    ancestor; distinct leaves sharing an ancestor collapse into one bit.
     With a filter, only the given depth-``level`` codes become columns;
-    rows for transactions with no retained item are kept as zero rows so
-    support denominators never change.
+    transactions with no retained item still count, so support
+    denominators never change.
     """
     total = db.taxonomy.total_levels
     if not 1 <= level <= total:
@@ -162,20 +175,7 @@ def project_to_level(
         vocabulary = tuple(sorted(set(vocabulary_filter)))
     else:
         vocabulary = db.taxonomy.codes_at_depth(level)
-    index = {code: j for j, code in enumerate(vocabulary)}
-    leaves = db.leaves
-    leaf_bits = [0] * len(leaves)
-    for i in set().union(*db.rows):
-        j = index.get(generalize(leaves[i], level))
-        if j is not None:
-            leaf_bits[i] = 1 << j
-    rows = []
-    for leaf_row in db.rows:
-        row = 0
-        for i in leaf_row:
-            row |= leaf_bits[i]
-        rows.append(row)
-    return LevelMatrix(level, vocabulary, tuple(rows))
+    return LevelMatrix(level, vocabulary, db.n_transactions, db.leaf_columns)
 
 
 def count_support(matrix: LevelMatrix, items: Itemset) -> int:

@@ -11,9 +11,9 @@ from pincer_ml.taxonomy import ItemCode
 from pincer_ml.transactions import LevelMatrix
 
 
-def _matrix(rows, n_items):
-    vocabulary = tuple(ItemCode((chr(65 + i),), 1) for i in range(n_items))
-    return LevelMatrix(1, vocabulary, tuple(rows))
+def _matrix(columns, n_transactions):
+    vocabulary = tuple(ItemCode((chr(65 + i),), 1) for i in range(len(columns)))
+    return LevelMatrix(1, vocabulary, n_transactions, dict(zip(vocabulary, columns)))
 
 
 class TestTiny:
@@ -31,13 +31,14 @@ class TestTiny:
         assert got.maximal == frozenset({(0, 1)})
 
     def test_nothing_frequent(self):
+        # A only in row 0, B only in row 1
         matrix = _matrix([0b01, 0b10], 2)
         got = brute_force(matrix, 2)
         assert got.frequent == {}
         assert got.maximal == frozenset()
 
     def test_empty_matrix(self):
-        matrix = _matrix([], 3)
+        matrix = _matrix([0, 0, 0], 0)
         got = brute_force(matrix, 1)
         assert got.frequent == {}
         assert got.maximal == frozenset()

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import pincer_ml.taxonomy
 from helpers import idx
 from pincer_ml.errors import (
     BadLength,
@@ -144,17 +145,22 @@ class TestLoadAgainstReference:
         self.check(records, taxonomy)
 
 
+def wide_taxonomy():
+    """26 roots of 36 children of 36 leaves: 33,696 leaves."""
+    symbols = string.digits + string.ascii_uppercase
+    return load_taxonomy(
+        (a + b + c, "")
+        for a in string.ascii_uppercase
+        for b in symbols
+        for c in symbols
+    )
+
+
 class TestWideTaxonomy:
     def test_load_memory_does_not_grow_with_width(self):
-        # 26 * 36 * 36 = 33,696 leaves.  A table of one width-sized int
-        # per leaf would take about 70 MB; a row is a few item slots.
-        symbols = string.digits + string.ascii_uppercase
-        taxonomy = load_taxonomy(
-            (a + b + c, "")
-            for a in string.ascii_uppercase
-            for b in symbols
-            for c in symbols
-        )
+        # A table of one width-sized int per leaf would take about
+        # 70 MB; a row is a few item slots.
+        taxonomy = wide_taxonomy()
         texts = [leaf.text for leaf in taxonomy.codes_at_depth(3)]
         rng = random.Random(0)
         records = [(f"T{t}", rng.choice(texts)) for t in range(200) for _ in range(5)]
@@ -168,6 +174,21 @@ class TestWideTaxonomy:
         assert db.n_transactions == 200
         assert all(db.leaves[i].text in texts for row in db.rows for i in row)
 
+    def test_each_node_is_generalized_once(self, monkeypatch):
+        calls = 0
+
+        def counting(code, level):
+            nonlocal calls
+            calls += 1
+            return generalize(code, level)
+
+        monkeypatch.setattr(pincer_ml.taxonomy, "generalize", counting)
+        taxonomy = wide_taxonomy()
+        sizes = [len(taxonomy.codes_at_depth(d)) for d in (1, 2, 3)]
+        assert sizes == [26, 26 * 36, 26 * 36 * 36]
+        # One call per node below the roots, none to list a depth.
+        assert calls == 26 * 36 + 26 * 36 * 36 == 34_632
+
 
 class TestProjection:
     def test_level1_vocabulary(self, level1):
@@ -177,15 +198,18 @@ class TestProjection:
         assert level1.n_transactions == 15
 
     def test_single_item_transaction(self, bookstore):
-        # T4 contained only C11, so its level-1 row is just the C bit
+        # T4 contained only C11, so at level 1 only the C column holds it
         matrix = project_to_level(bookstore, 1)
         c = idx(matrix.vocabulary, "C**")[0]
-        assert matrix.rows[3] == 1 << c
+        assert [col >> 3 & 1 for col in matrix.columns] == [
+            int(j == c) for j in range(len(matrix.vocabulary))
+        ]
 
     def test_siblings_collapse_to_one_bit(self):
         db = load_transactions([("T1", "A11"), ("T1", "A12")], TINY)
         matrix = project_to_level(db, 2)
-        assert matrix.rows[0].bit_count() == 1
+        assert [c.text for c in matrix.vocabulary] == ["A1*", "B1*"]
+        assert matrix.columns == (0b1, 0)
 
     def test_level3_is_leaf_level(self, bookstore):
         matrix = project_to_level(bookstore, 3)
@@ -195,9 +219,9 @@ class TestProjection:
         keep = frozenset({parse_code("C1*"), parse_code("D1*")})
         matrix = project_to_level(bookstore, 2, keep)
         assert [c.text for c in matrix.vocabulary] == ["C1*", "D1*"]
-        # rows for transactions without C1*/D1* stay, as zero rows
+        # transactions without C1*/D1* still count
         assert matrix.n_transactions == 15
-        assert matrix.rows[0] == 0  # T1 = A11,E11,F11,H11
+        assert not any(col & 1 for col in matrix.columns)  # T1 = A11,E11,F11,H11
 
     def test_filter_depth_must_match(self, bookstore):
         with pytest.raises(LevelOutOfRange):
@@ -212,11 +236,13 @@ class TestProjection:
     def test_empty_filter_gives_zero_width(self, bookstore):
         matrix = project_to_level(bookstore, 2, frozenset())
         assert matrix.vocabulary == ()
-        assert all(row == 0 for row in matrix.rows)
+        assert matrix.columns == ()
+        assert matrix.n_transactions == 15
 
 
 def reference_projection(db, level, vocabulary_filter=None):
-    """Projection as it was written, one ``generalize`` per item per row."""
+    """Projection as it was written: one row bitset per transaction, with
+    one ``generalize`` per item per row, then transposed into columns."""
     if vocabulary_filter is None:
         vocabulary = db.taxonomy.codes_at_depth(level)
     else:
@@ -230,7 +256,12 @@ def reference_projection(db, level, vocabulary_filter=None):
             if j is not None:
                 row |= 1 << j
         rows.append(row)
-    return vocabulary, tuple(rows)
+    columns = [0] * len(vocabulary)
+    for t, row in enumerate(rows):
+        for j in range(len(vocabulary)):
+            if row >> j & 1:
+                columns[j] |= 1 << t
+    return vocabulary, tuple(columns)
 
 
 def every_other(codes):
@@ -240,24 +271,44 @@ def every_other(codes):
 class TestProjectionAgainstReference:
     def check(self, db, level, vocabulary_filter=None):
         matrix = project_to_level(db, level, vocabulary_filter)
-        vocabulary, rows = reference_projection(db, level, vocabulary_filter)
+        vocabulary, columns = reference_projection(db, level, vocabulary_filter)
         assert matrix.vocabulary == vocabulary
-        assert matrix.rows == rows
+        assert matrix.columns == columns
+        assert matrix.n_transactions == len(db.rows)
+
+    def check_filters(self, db, level):
+        codes = db.taxonomy.codes_at_depth(level)
+        self.check(db, level)
+        self.check(db, level, every_other(codes))
+        self.check(db, level, codes[1:2])
+        self.check(db, level, [])
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_bookstore(self, bookstore, level):
-        self.check(bookstore, level)
-        codes = bookstore.taxonomy.codes_at_depth(level)
-        self.check(bookstore, level, every_other(codes))
-        self.check(bookstore, level, codes[1:2])
-        self.check(bookstore, level, [])
+        self.check_filters(bookstore, level)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_datasets(self, seed):
         db = random_dataset(seed, total_levels=2 + seed % 3, n_transactions=30)
         for level in range(1, db.taxonomy.total_levels + 1):
-            self.check(db, level)
-            self.check(db, level, every_other(db.taxonomy.codes_at_depth(level)))
+            self.check_filters(db, level)
+
+
+class TestLeafColumns:
+    def test_popcount_is_basket_count(self, bookstore):
+        occurs = {i for row in bookstore.rows for i in row}
+        assert set(bookstore.leaf_columns) == {bookstore.leaves[i] for i in occurs}
+        for i in occurs:
+            column = bookstore.leaf_columns[bookstore.leaves[i]]
+            assert column.bit_count() == sum(i in row for row in bookstore.rows)
+            assert column == sum(1 << t for t, row in enumerate(bookstore.rows) if i in row)
+
+    def test_leaves_that_never_occur_are_absent(self):
+        db = load_transactions([("T1", "A11"), ("T2", "A11")], TINY)
+        assert db.leaf_columns == {parse_code("A11"): 0b11}
+
+    def test_empty_db(self):
+        assert load_transactions([], TINY).leaf_columns == {}
 
 
 class TestCounting:
