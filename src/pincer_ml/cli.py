@@ -19,6 +19,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -135,6 +136,32 @@ def build_parser() -> _Parser:
     return parser
 
 
+# A --minsup or --min-conf entry is an exact value whose numerator and
+# denominator have at most MAX_DIGITS digits, the longest int Python
+# prints by default, so every accepted value can be reported.  An
+# exponent beyond MAX_EXPONENT is refused before ``Fraction`` builds
+# ``10**exponent``: ``Fraction`` reads at most 2 * MAX_DIGITS mantissa
+# digits, so such an entry has too many digits anyway.
+MAX_DIGITS = 4300
+MAX_EXPONENT = 3 * MAX_DIGITS
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _parse_entry(tok: str, flag: str) -> Fraction:
+    """One ``--minsup`` or ``--min-conf`` entry as an exact value."""
+    match = _EXPONENT.search(tok)
+    exponent = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+        raise ConfigError(f"{flag} entry {tok!r} has an exponent beyond {MAX_EXPONENT}")
+    try:
+        value = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"bad {flag} entry {tok!r}") from None
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_DIGITS:
+        raise ConfigError(f"{flag} entry {tok!r} has over {MAX_DIGITS} digits")
+    return value
+
+
 def parse_minsup(text: str, mode: str, n_transactions: int, total_levels: int):
     """Turn ``3,2,2`` or ``0.2,0.13,0.13`` into absolute per-level counts.
 
@@ -148,10 +175,7 @@ def parse_minsup(text: str, mode: str, n_transactions: int, total_levels: int):
         )
     values = []
     for tok in tokens:
-        try:
-            value = Fraction(tok)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"bad --minsup entry {tok!r}") from None
+        value = _parse_entry(tok, "--minsup")
         if mode == "absolute":
             if value.denominator != 1:
                 raise ConfigError(
@@ -171,10 +195,7 @@ def parse_minsup(text: str, mode: str, n_transactions: int, total_levels: int):
 
 
 def parse_confidence(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad --min-conf value {text!r}") from None
+    value = _parse_entry(text, "--min-conf")
     if not 0 < value <= 1:
         raise ConfigError(f"--min-conf must be in (0, 1], got {text!r}")
     return value

@@ -14,22 +14,8 @@ from .taxonomy import ItemCode, Taxonomy, load_taxonomy
 from .transactions import LevelMatrix, TransactionDB, load_transactions
 
 _LETTERS = string.ascii_uppercase
+_ITEM_SYMBOLS = _LETTERS + string.ascii_lowercase
 MAX_TAXONOMY_LEAVES = 100_000
-
-
-def _root_symbols(count: int) -> list[str]:
-    """A, B, ..., Z, AA, AB, ... — stable readable root names."""
-    symbols = []
-    for i in range(count):
-        name = ""
-        n = i
-        while True:
-            name = _LETTERS[n % 26] + name
-            n = n // 26 - 1
-            if n < 0:
-                break
-        symbols.append(name)
-    return symbols
 
 
 def random_taxonomy(
@@ -48,7 +34,7 @@ def random_taxonomy(
         raise ConfigError(f"n_roots must be within 1..26, got {n_roots}")
     if not 1 <= max_children <= 9:
         raise ConfigError(f"max_children must be within 1..9, got {max_children}")
-    prefixes = _root_symbols(n_roots)
+    prefixes = list(_LETTERS[:n_roots])
     for _ in range(1, total_levels):
         next_prefixes = []
         for prefix in prefixes:
@@ -108,10 +94,11 @@ def random_matrix(
     """A bare one-level matrix for property tests, no hierarchy attached."""
     if not 0.0 <= density <= 1.0:
         raise ConfigError(f"density must be within [0, 1], got {density}")
-    symbols = _root_symbols(n_items)
-    vocabulary = tuple(
-        ItemCode((symbol,), total_levels=1) for symbol in symbols
-    )
+    if not 0 <= n_items <= len(_ITEM_SYMBOLS):
+        raise ConfigError(
+            f"n_items must be within 0..{len(_ITEM_SYMBOLS)}, got {n_items}"
+        )
+    vocabulary = tuple(map(ItemCode, _ITEM_SYMBOLS[:n_items]))
     columns = [0] * n_items
     for t in range(n_transactions):
         for j in range(n_items):
@@ -127,8 +114,8 @@ def taxonomy_csv_rows(taxonomy: Taxonomy) -> list[tuple[str, str]]:
 
 def transaction_csv_rows(db: TransactionDB) -> list[tuple[str, str]]:
     """(tid, item) rows in original transaction order."""
-    texts = [leaf.text for leaf in db.leaves]
-    return [(tid, texts[i]) for tid, row in zip(db.tids, db.rows) for i in row]
+    leaves = db.leaves
+    return [(tid, leaves[i]) for tid, row in zip(db.tids, db.rows) for i in row]
 
 
 def dataset_csv_rows(

@@ -4,7 +4,9 @@ Items live in a fixed-depth concept tree.  A code is written as a
 fixed-width string with one branch symbol per level, most significant
 first, padded with ``*`` for unspecified deeper levels: ``A11`` is a
 leaf, ``A1*`` its parent, ``A**`` the top-level category.  Wildcards are
-only ever a suffix, so every code names exactly one node.
+only ever a suffix, so every code names exactly one node, and a node is
+its code text: the ancestor at depth ``d`` is the first ``d`` symbols,
+padded with ``*``.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -34,29 +35,19 @@ WILDCARD = "*"
 DEFAULT_LEVELS = 3
 
 
-@dataclass(frozen=True)
-class ItemCode:
-    """One node of the concept tree, identified by its branch path."""
+class ItemCode(str):
+    """One node of the concept tree: its code text, hashed, compared and
+    sorted as that text.  ``text`` returns it as a plain ``str``."""
 
-    path: tuple[str, ...]
-    total_levels: int
+    __slots__ = ()
 
     @property
     def depth(self) -> int:
-        return len(self.path)
+        return len(self.rstrip(WILDCARD))
 
-    @cached_property
+    @property
     def text(self) -> str:
-        return "".join(self.path) + WILDCARD * (self.total_levels - self.depth)
-
-    def __str__(self) -> str:
-        return self.text
-
-    def __lt__(self, other: "ItemCode") -> bool:
-        return self.text < other.text
-
-
-_text = attrgetter("text")
+        return str(self)
 
 
 def parse_code(text: str, total_levels: int = DEFAULT_LEVELS) -> ItemCode:
@@ -65,7 +56,6 @@ def parse_code(text: str, total_levels: int = DEFAULT_LEVELS) -> ItemCode:
         raise BadLength(
             f"code {text!r}: expected {total_levels} symbols, got {len(text)}"
         )
-    symbols: list[str] = []
     in_padding = False
     for ch in text:
         if ch == WILDCARD:
@@ -74,11 +64,9 @@ def parse_code(text: str, total_levels: int = DEFAULT_LEVELS) -> ItemCode:
             raise WildcardNotSuffix(f"code {text!r}: branch symbol after '*'")
         elif not ch.isalnum():
             raise BadSymbol(f"code {text!r}: symbol {ch!r} is not alphanumeric")
-        else:
-            symbols.append(ch)
-    if not symbols:
+    if not text.rstrip(WILDCARD):
         raise EmptyCode(f"code {text!r} is all wildcards")
-    return ItemCode(tuple(symbols), total_levels)
+    return ItemCode(text)
 
 
 def generalize(code: ItemCode, level: int) -> ItemCode:
@@ -90,7 +78,7 @@ def generalize(code: ItemCode, level: int) -> ItemCode:
         raise LevelOutOfRange(
             f"cannot generalize {code.text!r} (depth {code.depth}) to level {level}"
         )
-    return ItemCode(code.path[:level], code.total_levels)
+    return ItemCode(code[:level] + WILDCARD * (len(code) - level))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +99,7 @@ class Taxonomy:
         by_depth: dict[int, list[ItemCode]] = {}
         for code in self.names:
             by_depth.setdefault(code.depth, []).append(code)
-        return {d: tuple(sorted(codes, key=_text)) for d, codes in by_depth.items()}
+        return {d: tuple(sorted(codes)) for d, codes in by_depth.items()}
 
     def codes_at_depth(self, depth: int) -> tuple[ItemCode, ...]:
         """All nodes at ``depth``, sorted by code text."""
@@ -143,7 +131,6 @@ def load_taxonomy(
     names: dict[ItemCode, str] = {}
     leaves: set[ItemCode] = set()
     interior: list[tuple[int, ItemCode]] = []
-    seen_texts: set[str] = set()
     count = 0
     for position, (text, name) in enumerate(records, start=1):
         count += 1
@@ -151,9 +138,8 @@ def load_taxonomy(
             code = parse_code(text, total_levels)
         except MiningError as exc:
             raise type(exc)(f"record {position}: {exc}") from exc
-        if code.text in seen_texts:
+        if code in names:
             raise DuplicateCode(f"record {position}: duplicate code {text!r}")
-        seen_texts.add(code.text)
         names[code] = name
         if code.depth == total_levels:
             leaves.add(code)

@@ -59,11 +59,11 @@ class TransactionDB:
         # not load OpenSSL.
         import hashlib
 
-        texts = [leaf.text for leaf in self.leaves]
-        parts = [str(self.taxonomy.total_levels), *texts]
+        leaves = self.leaves
+        parts = [str(self.taxonomy.total_levels), *leaves]
         for tid, row in zip(self.tids, self.rows):
             parts.append("|" + tid)
-            parts.extend("," + texts[i] for i in row)
+            parts.extend("," + leaves[i] for i in row)
         return hashlib.sha256("".join(parts).encode()).hexdigest()
 
     @cached_property
@@ -94,7 +94,7 @@ def load_transactions(
     collapse.  Every item must be the code text of a leaf of the taxonomy.
     """
     leaves = taxonomy.codes_at_depth(taxonomy.total_levels)
-    leaf_index = {leaf.text: i for i, leaf in enumerate(leaves)}
+    leaf_index = {leaf: i for i, leaf in enumerate(leaves)}
     baskets: defaultdict[str, set[int]] = defaultdict(set)
     for position, (tid, text) in enumerate(records, start=1):
         i = leaf_index.get(text)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -443,6 +445,19 @@ class TestImportFootprint:
         assert done.returncode == 0
         assert done.stdout == "[]\n"
 
+    def test_sources_import_only_the_stdlib(self):
+        allowed = sys.stdlib_module_names | {"pincer_ml"}
+        for path in sorted((SRC / "pincer_ml").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.partition(".")[0] in allowed, f"{path.name}: {name}"
+
     def test_every_public_name_resolves(self):
         for name in pincer_ml.__all__:
             assert getattr(pincer_ml, name) is not None
@@ -508,6 +523,40 @@ class TestExitCodes:
     def test_bad_min_conf(self):
         assert run(*mine_args(), "--min-conf", "0") == 2
         assert run(*mine_args(), "--min-conf", "nope") == 2
+
+    def test_huge_exponents_exit_2(self, capsys):
+        assert run(*mine_args(), "--min-conf", "1e-5000") == 2
+        assert run(*mine_args()[:-1], "1e5000,2,2") == 2
+        assert "--minsup entry '1e5000'" in capsys.readouterr().err
+
+    def test_exponent_is_refused_before_it_is_expanded(self):
+        fractional = [*mine_args()[:-1], "1e-999999999,2,2"]
+        fractional += ["--support-mode", "fractional"]
+        start = time.perf_counter()
+        assert run(*mine_args(), "--min-conf", "1e-999999999") == 2
+        assert run(*fractional) == 2
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--min-conf", "1e-4299"],
+            ["--min-conf", "5e-4300"],
+            ["--min-conf", "1e-3"],
+            ["--minsup", "1e4299,2,2"],
+            ["--minsup", "0.2,0.2,0.2", "--support-mode", "fractional"],
+        ],
+    )
+    def test_values_with_at_most_4300_digits_are_kept(self, flags, tmp_path):
+        args = bookstore_args("mine")
+        if flags[0] == "--minsup":
+            args = args[:-2]
+        assert run(*args, *flags, "--out", tmp_path / "r.json") == 0
+
+    def test_value_over_4300_digits_exits_2(self):
+        assert run(*mine_args(), "--min-conf", "1e-4300") == 2
+        assert run(*mine_args(), "--min-conf", "0.1e-4299") == 2
+        assert run(*mine_args()[:-1], "1e4300,2,2") == 2
 
     def test_unknown_flag(self):
         assert run(*mine_args(), "--frobnicate") == 2
@@ -678,3 +727,39 @@ class TestFuzzedCsv:
     @given(data=csv_bytes(b"code,name\n"))
     def test_taxonomy_bytes(self, tmp_path, data):
         assert self.exit_code(tmp_path, "bookstore_taxonomy.csv", data) in (0, 1, 2, 3)
+
+
+# Decimals with long exponents, and arbitrary short text.
+flag_entries = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        st.from_regex(r"\A[-+]?[0-9]{0,3}(\.[0-9]{0,3})?\Z"),
+        st.sampled_from(["e", "E", "e+", "E+", "e-", "E-"]),
+        st.integers(0, 99_999),
+    ),
+    st.text(max_size=8),
+)
+
+
+class TestFuzzedFlags:
+    """Whatever ``--minsup`` and ``--min-conf`` say, ``main`` returns a
+    documented exit code."""
+
+    FUZZ = TestFuzzedCsv.FUZZ
+
+    # Rising thresholds are valid; the CLI only warns about them.
+    @pytest.mark.filterwarnings("ignore:a deeper level has a higher support threshold")
+    @FUZZ
+    @given(
+        minsup=st.lists(flag_entries, min_size=1, max_size=4).map(",".join),
+        mode=st.sampled_from(["absolute", "fractional"]),
+    )
+    def test_minsup(self, tmp_path, minsup, mode):
+        args = bookstore_args("mine")[:-1] + [minsup, "--support-mode", mode]
+        assert run(*args, "--out", tmp_path / "r.json") in (0, 1, 2, 3)
+
+    @FUZZ
+    @given(min_conf=flag_entries)
+    def test_min_conf(self, tmp_path, min_conf):
+        args = mine_args("--min-conf", min_conf, out=tmp_path / "r.json")
+        assert run(*args) in (0, 1, 2, 3)

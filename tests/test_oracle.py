@@ -12,7 +12,7 @@ from pincer_ml.transactions import LevelMatrix
 
 
 def _matrix(columns, n_transactions):
-    vocabulary = tuple(ItemCode((chr(65 + i),), 1) for i in range(len(columns)))
+    vocabulary = tuple(ItemCode(chr(65 + i)) for i in range(len(columns)))
     return LevelMatrix(1, vocabulary, n_transactions, dict(zip(vocabulary, columns)))
 
 

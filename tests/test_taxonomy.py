@@ -1,3 +1,4 @@
+import itertools
 import string
 import sys
 
@@ -14,6 +15,7 @@ from pincer_ml.errors import (
     LevelOutOfRange,
     WildcardNotSuffix,
 )
+from pincer_ml.gen import random_dataset
 from pincer_ml.taxonomy import (
     ItemCode,
     generalize,
@@ -26,12 +28,12 @@ from pincer_ml.taxonomy import (
 class TestParseCode:
     def test_leaf(self):
         code = parse_code("C12")
-        assert code.path == ("C", "1", "2")
+        assert code == "C12"
         assert code.depth == 3
         assert code.text == "C12"
 
     def test_interior(self):
-        assert parse_code("C1*").path == ("C", "1")
+        assert parse_code("C1*").depth == 2
         assert parse_code("C**").depth == 1
 
     def test_padding_roundtrip(self):
@@ -216,7 +218,67 @@ class TestReadCsv:
 
 
 def test_item_code_is_hashable_value():
-    a = ItemCode(("C", "1"), 3)
+    a = ItemCode("C1*")
     b = parse_code("C1*")
     assert a == b
     assert hash(a) == hash(b)
+
+
+def reference_path(code):
+    """The path-tuple model a code used to be: its symbols before the padding."""
+    return tuple(itertools.takewhile(lambda ch: ch != "*", code.text))
+
+
+def reference_text(path, width):
+    return "".join(path) + "*" * (width - len(path))
+
+
+def taxonomies_under_test(bookstore):
+    yield bookstore
+    for seed in range(20):
+        yield random_dataset(seed, total_levels=1 + seed % 5).taxonomy
+
+
+class TestAgainstPathModel:
+    """Codes agree, node for node, with a ``(path, width)`` reference model."""
+
+    def test_depth_text_and_generalize_chain(self, bookstore_taxonomy):
+        for taxonomy in taxonomies_under_test(bookstore_taxonomy):
+            width = taxonomy.total_levels
+            for code in taxonomy.names:
+                path = reference_path(code)
+                assert code.depth == len(path)
+                assert type(code.text) is str
+                assert code.text == reference_text(path, width)
+                for level in range(1, len(path) + 1):
+                    ancestor = generalize(code, level)
+                    assert reference_path(ancestor) == path[:level]
+                    assert ancestor.text == reference_text(path[:level], width)
+                    assert ancestor in taxonomy
+                assert generalize(code, len(path)) == code
+
+    def test_codes_at_depth_order(self, bookstore_taxonomy):
+        for taxonomy in taxonomies_under_test(bookstore_taxonomy):
+            width = taxonomy.total_levels
+            for depth in range(1, width + 1):
+                expected = sorted(
+                    (c for c in taxonomy.names if len(reference_path(c)) == depth),
+                    key=lambda c: reference_text(reference_path(c), width),
+                )
+                assert list(taxonomy.codes_at_depth(depth)) == expected
+
+    def test_equality_and_hash_classes(self, bookstore_taxonomy):
+        for taxonomy in taxonomies_under_test(bookstore_taxonomy):
+            # Every node, plus each ancestor as a fresh, equal object.
+            codes = list(taxonomy.names)
+            codes += [
+                generalize(c, d) for c in taxonomy.codes for d in range(1, c.depth)
+            ]
+            pairs = {(code, reference_path(code)) for code in codes}
+            assert len(pairs) == len(set(codes)) == len({p for _, p in pairs})
+            for code in codes:
+                assert hash(code) == hash(parse_code(code.text, taxonomy.total_levels))
+
+    def test_empty_zero_width_code(self):
+        with pytest.raises(EmptyCode):
+            parse_code("", 0)

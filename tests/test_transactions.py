@@ -9,12 +9,13 @@ import pincer_ml.taxonomy
 from helpers import idx
 from pincer_ml.errors import (
     BadLength,
+    ConfigError,
     IndexOutOfRange,
     LevelOutOfRange,
     UnknownItem,
 )
 from pincer_ml.itemsets import to_mask
-from pincer_ml.gen import random_dataset, transaction_csv_rows
+from pincer_ml.gen import random_dataset, random_matrix, transaction_csv_rows
 from pincer_ml.taxonomy import _csv_records, generalize, load_taxonomy, parse_code
 from pincer_ml.transactions import (
     PassCounter,
@@ -309,6 +310,18 @@ class TestLeafColumns:
 
     def test_empty_db(self):
         assert load_transactions([], TINY).leaf_columns == {}
+
+
+class TestRandomMatrix:
+    def test_items_are_one_symbol_codes_in_text_order(self):
+        matrix = random_matrix(random.Random(0), 52, 3, density=1.0)
+        assert [code.depth for code in matrix.vocabulary] == [1] * 52
+        assert list(matrix.vocabulary) == sorted(matrix.vocabulary)
+        assert matrix.columns == (0b111,) * 52
+
+    def test_more_items_than_symbols(self):
+        with pytest.raises(ConfigError):
+            random_matrix(random.Random(0), 53, 3)
 
 
 class TestCounting:
