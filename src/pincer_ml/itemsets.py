@@ -90,7 +90,12 @@ def apriori_prune(candidates: Collection[int], frequent_k: Collection[int]) -> s
 
 @dataclass(frozen=True)
 class BorderState:
-    """The two antichains bounding the unresolved search region."""
+    """The two antichains bounding the unresolved search region.
+
+    Both ``mfcs`` and ``mfs`` are antichains, and no ``mfcs`` member lies
+    inside an ``mfs`` member.  :func:`mfcs_gen` keeps these by
+    construction, so neither the search nor the refinement re-checks them.
+    """
 
     mfcs: FrozenSet[int]
     mfs: FrozenSet[int]
@@ -105,6 +110,13 @@ def mfcs_gen(state: BorderState, infrequent: Collection[int]) -> BorderState:
     in ``infrequent``.  Splinters already covered by another member are
     dropped, as is anything that ends up inside a certified maximal
     frequent set — its support is no longer in question.
+
+    ``state.mfcs`` must be an antichain, as :class:`BorderState` says;
+    a member inside an ``mfs`` member is allowed and is dropped.  A
+    splinter ``m - e`` cannot contain an unsplit member (that member
+    would lie inside ``m``), nor another splinter (``m1 - e1 <= m2 - e2``
+    forces ``e1 == e2`` and ``m1 <= m2``), so the result is an antichain
+    without a final maximality pass.
     """
     members = sorted(state.mfcs)
     mfs = state.mfs
@@ -124,13 +136,8 @@ def mfcs_gen(state: BorderState, infrequent: Collection[int]) -> BorderState:
                     continue
                 survivors.append(piece)
         members = survivors
-    maximal = frozenset(
-        m
-        for m in members
-        if not any(m != other and m & ~other == 0 for other in members)
-        and not any(m & ~f == 0 for f in mfs)
-    )
-    return BorderState(maximal, mfs)
+    kept = frozenset(m for m in members if not any(m & ~f == 0 for f in mfs))
+    return BorderState(kept, mfs)
 
 
 def recover(

@@ -60,16 +60,6 @@ class PincerResult:
     vocabulary: tuple[ItemCode, ...]
 
 
-def _insert_maximal(mfs: dict[int, int], candidate: int, support: int) -> None:
-    """Insert into the maximal antichain, absorbing dominated members."""
-    for member in mfs:
-        if candidate & ~member == 0:
-            return
-    for member in [m for m in mfs if m & ~candidate == 0]:
-        del mfs[member]
-    mfs[candidate] = support
-
-
 def pincer_search(
     matrix: LevelMatrix,
     minsup: int,
@@ -100,19 +90,17 @@ def pincer_search(
     k = 1
 
     while candidates or any(m not in support for m in mfcs):
-        uncounted = {c for c in candidates if c not in support}
-        uncounted.update(m for m in mfcs if m not in support)
-        if uncounted:
-            support.update(count_many(matrix, uncounted, counter))
+        # No candidate was counted before: pincer_prune drops every set
+        # equal to a counted border member, frequent or not.
+        uncounted = candidates | {m for m in mfcs if m not in support}
+        support.update(count_many(matrix, uncounted, counter))
 
-        # Border members are now all counted: frequent ones are maximal
-        # until a larger certificate absorbs them, infrequent ones must
-        # splinter below.
-        certified = [m for m in sorted(mfcs) if support[m] >= minsup]
-        if certified:
-            mfcs = frozenset(m for m in mfcs if support[m] < minsup)
-            for m in certified:
-                _insert_maximal(mfs, m, support[m])
+        # Border members are now all counted: frequent ones are maximal,
+        # since the border is an antichain that no member of mfs covers,
+        # and infrequent ones must splinter below.
+        certified = {m: support[m] for m in mfcs if support[m] >= minsup}
+        mfs.update(certified)
+        mfcs = mfcs.difference(certified)
 
         frequent_k = {c for c in candidates if support[c] >= minsup}
         infrequent_k = candidates - frequent_k
@@ -147,9 +135,8 @@ def pincer_search(
         k += 1
 
     # Any border member still standing was counted frequent on an
-    # earlier pass and is maximal unless something already covers it.
-    for m in sorted(mfcs):
-        _insert_maximal(mfs, m, support[m])
+    # earlier pass, and nothing in mfs covers it.
+    mfs.update((m, support[m]) for m in mfcs)
 
     results = ((to_items(m), s) for m, s in mfs.items())
     ordered = dict(sorted(results, key=lambda kv: (len(kv[0]), kv[0])))

@@ -15,7 +15,9 @@ from .errors import InvalidConfidence, ItemsetTooLarge, MissingSubsetSupport
 from .itemsets import Itemset, to_items, to_mask
 from .transactions import LevelMatrix, PassCounter, count_many
 
-MAX_EXPANSION_ITEMS = 24
+# Subsets, the sum of 2**|m|, that expanding one maximal family may
+# enumerate: a 20-item set has 1,048,576, a 21-item set twice as many.
+MAX_EXPANSION_SUBSETS = 2**20
 # Raw rules, the sum of 2**|z| - 2, that one family may yield: every
 # subset of a 12-item set gives 523,250, of a 13-item set 1,577,940.
 MAX_RULE_CANDIDATES = 2**20
@@ -50,16 +52,17 @@ def expand_frequent(
 ) -> tuple[FrequentSet, ...]:
     """All nonempty subsets of the maximal sets, counted in one pass.
 
-    Members wider than ``MAX_EXPANSION_ITEMS`` are refused rather than
-    silently enumerating billions of subsets.
+    A family with more than ``MAX_EXPANSION_SUBSETS`` subsets is refused
+    before any is enumerated.
     """
+    total = sum(1 << len(m) for m in mfs)
+    if total > MAX_EXPANSION_SUBSETS:
+        raise ItemsetTooLarge(
+            f"the maximal sets have {total} subsets; "
+            f"the expansion limit is {MAX_EXPANSION_SUBSETS}"
+        )
     subsets: set[int] = set()
     for m in mfs:
-        if len(m) > MAX_EXPANSION_ITEMS:
-            raise ItemsetTooLarge(
-                f"maximal set of {len(m)} items has 2**{len(m)} subsets; "
-                f"the expansion limit is {MAX_EXPANSION_ITEMS} items"
-            )
         mask = sub = to_mask(m)
         while sub:
             subsets.add(sub)

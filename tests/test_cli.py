@@ -608,6 +608,23 @@ class TestExitCodes:
         assert "1577940 candidate rules" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command", ["mine", "compare"])
+    def test_21_item_maximal_set_exits_3_before_expanding(self, tmp_path, capsys, command):
+        # Every row holds all 21 items: one maximal set with 2**21 subsets.
+        codes = "ABCDEFGHIJKLMNOPQRSTU"
+        tax, trx = tmp_path / "t.csv", tmp_path / "x.csv"
+        tax.write_text("code,name\n" + "".join(f"{c},item {c}\n" for c in codes))
+        trx.write_text(
+            "tid,item\n" + "".join(f"T{t},{c}\n" for t in range(30) for c in codes)
+        )
+        code = run(
+            command, "--taxonomy", tax, "--transactions", trx, "--minsup", "2",
+            "--out", tmp_path / "r.json",
+        )
+        assert code == 3
+        assert "2097152 subsets" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_engine_failure_exits_1(self, monkeypatch, tmp_path):
         def boom(*args, **kwargs):
             raise MiningError("injected failure")

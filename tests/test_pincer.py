@@ -3,8 +3,10 @@ import random
 import pytest
 
 from helpers import idx, mfs_by_text
+from pincer_ml.baselines import apriori
 from pincer_ml.errors import InvalidMinsup
 from pincer_ml.gen import random_matrix
+from pincer_ml.itemsets import to_items, to_mask
 from pincer_ml.oracle import brute_force
 from pincer_ml.pincer import pincer_search
 from pincer_ml.taxonomy import load_taxonomy
@@ -153,6 +155,32 @@ class TestBorderInvariants:
         recorder = BorderRecorder()
         pincer_search(matrix, rng.randint(1, 6), observer=recorder)
         recorder.assert_invariants()
+
+
+class TestWideBorders:
+    """Borders of hundreds of members, beyond the small random cases."""
+
+    @pytest.mark.parametrize(
+        "n_items, n_transactions, density, minsup, peak",
+        [(30, 2000, 0.3, 150, 435), (20, 500, 0.5, 90, 190)],
+    )
+    def test_matches_apriori(self, n_items, n_transactions, density, minsup, peak):
+        matrix = random_matrix(random.Random(0), n_items, n_transactions, density)
+        recorder = BorderRecorder()
+        result = pincer_search(matrix, minsup, observer=recorder)
+        recorder.assert_invariants()
+        assert max(s.mfcs_size for s in result.trace.steps) == peak
+
+        frequent = {
+            to_mask(fs.itemset): fs.support_count
+            for fs in apriori(matrix, minsup, PassCounter()).frequent
+        }
+        maximal = {
+            to_items(m): support
+            for m, support in frequent.items()
+            if not any((m | 1 << i) in frequent for i in range(n_items) if not m >> i & 1)
+        }
+        assert dict(result.mfs) == maximal
 
 
 class TestOracleAgreement:

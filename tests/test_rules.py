@@ -70,6 +70,22 @@ class TestExpand:
             expand_frequent({tuple(range(25))}, matrix, counter)
         assert counter.passes == 0
 
+    def test_refuses_21_items_before_enumerating(self):
+        # 2**21 subsets is twice the limit; nothing is enumerated or counted.
+        matrix = random_matrix(random.Random(0), n_items=21, n_transactions=4)
+        counter = PassCounter()
+        with pytest.raises(ItemsetTooLarge, match=r"2097152 subsets.* 1048576$"):
+            expand_frequent({tuple(range(21))}, matrix, counter)
+        assert counter.passes == 0
+
+    def test_limit_sums_over_the_family(self):
+        # Two 20-item sets: each alone is within the limit, together not.
+        matrix = random_matrix(random.Random(0), n_items=21, n_transactions=4)
+        counter = PassCounter()
+        with pytest.raises(ItemsetTooLarge, match=r"2097152 subsets"):
+            expand_frequent({tuple(range(20)), tuple(range(1, 21))}, matrix, counter)
+        assert counter.passes == 0
+
     def test_support_fraction(self):
         fs = FrequentSet((0, 1), 4, 15)
         assert fs.support_fraction == Fraction(4, 15)
