@@ -57,10 +57,6 @@ class IndexOutOfRange(MiningError):
     """An itemset refers to an index outside the matrix vocabulary."""
 
 
-class MixedSizes(MiningError):
-    """An itemset collection that must be uniform in size is not."""
-
-
 class InvalidMinsup(MiningError):
     """A support threshold is zero, negative, or otherwise unusable."""
 

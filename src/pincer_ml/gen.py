@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 import string
-from collections.abc import Sequence
 
 from .errors import ConfigError
 from .taxonomy import ItemCode, Taxonomy, load_taxonomy
@@ -116,9 +115,3 @@ def transaction_csv_rows(db: TransactionDB) -> list[tuple[str, str]]:
     """(tid, item) rows in original transaction order."""
     leaves = db.leaves
     return [(tid, leaves[i]) for tid, row in zip(db.tids, db.rows) for i in row]
-
-
-def dataset_csv_rows(
-    db: TransactionDB,
-) -> tuple[Sequence[tuple[str, str]], Sequence[tuple[str, str]]]:
-    return taxonomy_csv_rows(db.taxonomy), transaction_csv_rows(db)

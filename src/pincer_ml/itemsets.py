@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, FrozenSet, Iterable, Iterator
 
-from .errors import MixedSizes
-
 Itemset = tuple[int, ...]
 
 
@@ -45,22 +43,13 @@ def to_items(mask: int) -> Itemset:
     return tuple(bits(mask))
 
 
-def _uniform_size(sets: Collection[int], label: str) -> int:
-    sizes = {s.bit_count() for s in sets}
-    if len(sizes) > 1:
-        raise MixedSizes(f"{label} mixes itemset sizes {sorted(sizes)}")
-    return sizes.pop() if sizes else 0
-
-
 def join(frequent_k: Collection[int]) -> set[int]:
     """Merge pairs of k-itemsets sharing their k-1 lowest items.
 
     Produces the classic (k+1)-candidate pool; for k = 1 the shared
-    prefix is empty, so every pair of items joins.
+    prefix is empty, so every pair of items joins.  Unchecked: every
+    member has the same size k >= 1.
     """
-    size = _uniform_size(frequent_k, "join input")
-    if size == 0:
-        return set()
     by_prefix: dict[int, list[int]] = {}
     for s in frequent_k:
         by_prefix.setdefault(s ^ (1 << (s.bit_length() - 1)), []).append(s)
@@ -72,14 +61,11 @@ def join(frequent_k: Collection[int]) -> set[int]:
 
 
 def apriori_prune(candidates: Collection[int], frequent_k: Collection[int]) -> set[int]:
-    """Drop candidates with any k-subset missing from ``frequent_k``."""
-    cand_size = _uniform_size(candidates, "candidates")
-    freq_size = _uniform_size(frequent_k, "frequent sets")
-    if candidates and frequent_k and cand_size != freq_size + 1:
-        raise MixedSizes(
-            f"candidates of size {cand_size} cannot be pruned against "
-            f"frequent sets of size {freq_size}"
-        )
+    """Drop candidates with any k-subset missing from ``frequent_k``.
+
+    Unchecked: every candidate has size k + 1 and every member of
+    ``frequent_k`` size k.
+    """
     known = set(frequent_k)
     out: set[int] = set()
     for c in candidates:

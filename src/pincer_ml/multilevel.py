@@ -47,7 +47,7 @@ class LevelConfig:
                 warnings.warn(
                     "a deeper level has a higher support threshold than the "
                     "level above it; deeper items can only be rarer",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 break
 

@@ -28,6 +28,8 @@ from .itemsets import (
 from .taxonomy import ItemCode
 from .transactions import LevelMatrix, PassCounter, count_many
 
+# Called after every pass with (k, MFCS, MFS, every itemset counted
+# infrequent so far), each a frozenset of index tuples.
 Observer = Callable[[int, "frozenset[Itemset]", "frozenset[Itemset]", "frozenset[Itemset]"], None]
 
 
@@ -69,8 +71,10 @@ def pincer_search(
     """Find all maximal frequent itemsets of ``matrix`` at ``minsup``.
 
     ``minsup`` is an absolute transaction count and must be positive.
-    ``counter`` (when given) accumulates the database passes; pass an
-    ``observer`` to inspect the two borders after every pass.
+    ``counter`` (when given) accumulates the database passes.  An
+    ``observer`` is called after every pass ``k`` as ``observer(k, mfcs,
+    mfs, infrequent)``: the two borders and every itemset counted
+    infrequent so far, each a frozenset of index tuples.
     """
     if minsup < 1:
         raise InvalidMinsup(f"minsup must be at least 1, got {minsup}")
@@ -82,32 +86,27 @@ def pincer_search(
 
     start = counter.passes
     support: dict[int, int] = {}
-    infrequent_seen: set[int] = set()
-    mfs: dict[int, int] = {}
-    mfcs: frozenset[int] = frozenset({(1 << n_items) - 1})
+    state = BorderState(frozenset({(1 << n_items) - 1}), frozenset())
     candidates: set[int] = {1 << i for i in range(n_items)}
     steps: list[PassStats] = []
     k = 1
 
-    while candidates or any(m not in support for m in mfcs):
+    while candidates or any(m not in support for m in state.mfcs):
         # No candidate was counted before: pincer_prune drops every set
         # equal to a counted border member, frequent or not.
-        uncounted = candidates | {m for m in mfcs if m not in support}
+        uncounted = candidates | {m for m in state.mfcs if m not in support}
         support.update(count_many(matrix, uncounted, counter))
 
         # Border members are now all counted: frequent ones are maximal,
         # since the border is an antichain that no member of mfs covers,
         # and infrequent ones must splinter below.
-        certified = {m: support[m] for m in mfcs if support[m] >= minsup}
-        mfs.update(certified)
-        mfcs = mfcs.difference(certified)
-
+        certified = {m for m in state.mfcs if support[m] >= minsup}
+        uncertified = state.mfcs - certified
         frequent_k = {c for c in candidates if support[c] >= minsup}
         infrequent_k = candidates - frequent_k
-        splitters = infrequent_k | mfcs
-        infrequent_seen.update(splitters)
-        state = mfcs_gen(BorderState(mfcs, frozenset(mfs)), splitters)
-        mfcs = state.mfcs
+        state = mfcs_gen(
+            BorderState(uncertified, state.mfs | certified), infrequent_k | uncertified
+        )
 
         steps.append(
             PassStats(
@@ -115,30 +114,25 @@ def pincer_search(
                 candidates=len(candidates),
                 frequent=len(frequent_k),
                 infrequent=len(infrequent_k),
-                mfcs_size=len(mfcs),
-                mfs_size=len(mfs),
+                mfcs_size=len(state.mfcs),
+                mfs_size=len(state.mfs),
                 passes=counter.passes - start,
             )
         )
         if observer is not None:
-            borders = (mfcs, mfs, infrequent_seen)
+            infrequent = {s for s, c in support.items() if c < minsup}
+            borders = (state.mfcs, state.mfs, infrequent)
             observer(k, *(frozenset(map(to_items, b)) for b in borders))
 
         candidates = pincer_prune(
-            recover(
-                apriori_prune(join(frequent_k), frequent_k),
-                frequent_k,
-                frozenset(mfs),
-            ),
+            recover(apriori_prune(join(frequent_k), frequent_k), frequent_k, state.mfs),
             state,
         )
         k += 1
 
     # Any border member still standing was counted frequent on an
     # earlier pass, and nothing in mfs covers it.
-    mfs.update((m, support[m]) for m in mfcs)
-
-    results = ((to_items(m), s) for m, s in mfs.items())
+    results = ((to_items(m), support[m]) for m in state.mfs | state.mfcs)
     ordered = dict(sorted(results, key=lambda kv: (len(kv[0]), kv[0])))
     frequent_items = frozenset(i for member in ordered for i in member)
     trace = PincerTrace(tuple(steps), counter.passes - start)

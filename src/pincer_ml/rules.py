@@ -97,7 +97,8 @@ def generate_rules(
         raise InvalidConfidence(f"min_conf must be in (0, 1], got {min_conf}")
     # z / x >= num / den, compared exactly in integers, as Fraction >= float is.
     num, den = Fraction(min_conf).as_integer_ratio()
-    support = {to_mask(fs.itemset): fs.support_count for fs in frequent}
+    family = {to_mask(fs.itemset): fs for fs in frequent}
+    support = {m: fs.support_count for m, fs in family.items()}
     candidates = sum((1 << z.bit_count()) - 2 for z in support)
     if candidates > MAX_RULE_CANDIDATES:
         raise ItemsetTooLarge(
@@ -123,8 +124,10 @@ def generate_rules(
                 )
             x = (x - 1) & z
     # The walk looked up every proper subset, so every consequent has items.
-    items = {m: to_items(m) for m in support}
-    kept = [(key, nz, items[x], items[z & ~x], xs) for key, nz, x, z, xs in kept]
+    kept = [
+        (key, nz, family[x].itemset, family[z & ~x].itemset, xs)
+        for key, nz, x, z, xs in kept
+    ]
     # (antecedent, consequent) is unique per rule, so x_support never decides.
     kept.sort()
     ratios: dict[tuple[int, int], Fraction] = {}

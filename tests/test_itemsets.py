@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pincer_ml import itemsets
-from pincer_ml.errors import MixedSizes
 from pincer_ml.itemsets import BorderState, bits, itemset, to_items, to_mask
 
 # The engine works on int masks; these adapters let every case below be
@@ -78,10 +77,6 @@ class TestJoin:
     def test_empty(self):
         assert join(set()) == set()
 
-    def test_mixed_sizes(self):
-        with pytest.raises(MixedSizes):
-            join({(0,), (0, 1)})
-
 
 class TestAprioriPrune:
     def test_keeps_fully_supported(self):
@@ -91,10 +86,6 @@ class TestAprioriPrune:
     def test_drops_candidate_with_missing_subset(self):
         frequent = {(0, 1), (0, 2)}  # (1, 2) missing
         assert apriori_prune({(0, 1, 2)}, frequent) == set()
-
-    def test_size_mismatch(self):
-        with pytest.raises(MixedSizes):
-            apriori_prune({(0, 1)}, {(0, 1, 2)})
 
     def test_empty_sides(self):
         assert apriori_prune(set(), {(0, 1)}) == set()

@@ -28,8 +28,9 @@ class TestLevelConfig:
             LevelConfig((3, 0, 2), total_levels=3)
 
     def test_warns_on_rising_threshold(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             LevelConfig((2, 5, 2), total_levels=3)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_monotone_is_silent(self):
         import warnings

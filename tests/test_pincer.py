@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import idx, mfs_by_text
+from pincer_ml import pincer
 from pincer_ml.baselines import apriori
 from pincer_ml.errors import InvalidMinsup
 from pincer_ml.gen import random_matrix
@@ -102,18 +103,42 @@ class TestEdges:
         assert dict(result.mfs) == {(0, 1): 1}
 
 
-class BorderRecorder:
-    """Observer snapshotting both borders after every pass."""
+def record_infrequent(monkeypatch, count_many, minsup):
+    """Route the search's passes through ``count_many``; return the live
+    set of index tuples those passes counted below ``minsup``."""
+    counted = set()
 
-    def __init__(self):
+    def recording(matrix, masks, counter):
+        counts = count_many(matrix, masks, counter)
+        counted.update(to_items(m) for m, c in counts.items() if c < minsup)
+        return counts
+
+    monkeypatch.setattr(pincer, "count_many", recording)
+    return counted
+
+
+class BorderRecorder:
+    """Observer snapshotting both borders after every pass.
+
+    Given the live set from :func:`record_infrequent`, it also checks that
+    the observer's third argument is exactly the itemsets counted
+    infrequent so far.
+    """
+
+    def __init__(self, counted=None):
+        self.counted = counted
         self.snapshots = []
 
     def __call__(self, k, mfcs, mfs, infrequent):
-        self.snapshots.append((k, mfcs, mfs, infrequent))
+        counted = None if self.counted is None else frozenset(self.counted)
+        self.snapshots.append((k, mfcs, mfs, infrequent, counted))
 
     def assert_invariants(self):
         assert self.snapshots, "observer never fired"
-        for k, mfcs, mfs, infrequent in self.snapshots:
+        for k, mfcs, mfs, infrequent, counted in self.snapshots:
+            assert counted is None or infrequent == counted, (
+                f"pass {k}: observed infrequent sets are not those counted"
+            )
             for a in mfcs:
                 for b in mfcs:
                     assert a == b or not set(a) <= set(b), (
@@ -136,15 +161,17 @@ class BorderRecorder:
 
 
 class TestBorderInvariants:
-    def test_bookstore_all_levels(self, bookstore):
+    def test_bookstore_all_levels(self, bookstore, monkeypatch):
+        count_many = pincer.count_many
         for level, minsup in ((1, 3), (2, 2), (3, 2)):
             matrix = project_to_level(bookstore, level)
-            recorder = BorderRecorder()
+            counted = record_infrequent(monkeypatch, count_many, minsup)
+            recorder = BorderRecorder(counted)
             pincer_search(matrix, minsup, observer=recorder)
             recorder.assert_invariants()
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_runs(self, seed):
+    def test_random_runs(self, seed, monkeypatch):
         rng = random.Random(seed)
         matrix = random_matrix(
             rng,
@@ -152,8 +179,10 @@ class TestBorderInvariants:
             n_transactions=rng.randint(1, 30),
             density=rng.uniform(0.2, 0.7),
         )
-        recorder = BorderRecorder()
-        pincer_search(matrix, rng.randint(1, 6), observer=recorder)
+        minsup = rng.randint(1, 6)
+        counted = record_infrequent(monkeypatch, pincer.count_many, minsup)
+        recorder = BorderRecorder(counted)
+        pincer_search(matrix, minsup, observer=recorder)
         recorder.assert_invariants()
 
 
@@ -164,9 +193,12 @@ class TestWideBorders:
         "n_items, n_transactions, density, minsup, peak",
         [(30, 2000, 0.3, 150, 435), (20, 500, 0.5, 90, 190)],
     )
-    def test_matches_apriori(self, n_items, n_transactions, density, minsup, peak):
+    def test_matches_apriori(
+        self, n_items, n_transactions, density, minsup, peak, monkeypatch
+    ):
         matrix = random_matrix(random.Random(0), n_items, n_transactions, density)
-        recorder = BorderRecorder()
+        counted = record_infrequent(monkeypatch, pincer.count_many, minsup)
+        recorder = BorderRecorder(counted)
         result = pincer_search(matrix, minsup, observer=recorder)
         recorder.assert_invariants()
         assert max(s.mfcs_size for s in result.trace.steps) == peak
