@@ -7,6 +7,13 @@ by prefix joins; the top-down side keeps a :class:`BorderState`:
 ``mfcs`` is the antichain of largest sets that could still be frequent
 given every infrequent set seen so far, and ``mfs`` is the antichain of
 sets already certified frequent and maximal.
+
+After pass ``k`` the ``mfcs`` is built in two exact steps.
+:func:`maximal_avoiding` enumerates from scratch the maximal sets that
+contain no infrequent set of size at most ``k`` (for ``k = 2`` these are
+the maximal cliques of the frequent-pair graph).  :func:`mfcs_gen` then
+splinters those by the few larger infrequent sets, which are earlier
+border members, and drops whatever lies inside an ``mfs`` member.
 """
 from __future__ import annotations
 
@@ -74,13 +81,96 @@ def apriori_prune(candidates: Collection[int], frequent_k: Collection[int]) -> s
     return out
 
 
+def maximal_avoiding(n_items: int, infrequent: Iterable[int]) -> list[int]:
+    """Every maximal nonempty subset of ``0..n_items-1`` containing no
+    set in ``infrequent``.
+
+    A pivoted Bron–Kerbosch backtrack over the hypergraph whose edges are
+    the infrequent sets: ``r`` is the set being grown, ``p`` the items
+    that can still join it, and ``x`` the items that could join it but
+    whose branches are done.  Infrequent singletons leave the universe up
+    front, along with every edge through them.  When ``v`` joins ``r``,
+    each edge ``e`` through ``v`` whose remainder ``e - r - v`` is a
+    single item ``q`` blocks ``q`` in both ``p`` and ``x``.  The edges
+    through an item are grouped by their rest minus its highest item, so
+    all pairs through it are one mask and larger edges share keys.
+
+    Every maximal set below a node either contains the pivot ``u`` or
+    completes an edge ``e`` through it, so it meets ``u``'s branch set:
+    ``{u} & p`` plus ``e & p`` for each edge ``e`` through ``u`` with
+    ``e - u`` inside ``r | p``.  The pivot is the ``u`` in ``x | p`` with
+    the smallest branch set; an ``x`` item whose branch set is empty can
+    never be blocked, so nothing below that node is maximal.
+    """
+    removed = 0
+    edges: list[int] = []
+    for s in infrequent:
+        if s & (s - 1):
+            edges.append(s)
+        else:
+            removed |= s
+    # rests[v] maps (e - v - top) to the OR of the tops, top being the
+    # highest item of e - v, over the edges e through v; a pair's key is 0.
+    rests: list[dict[int, int]] = [{} for _ in range(n_items)]
+    for e in edges:
+        if e & removed:
+            continue
+        for v in bits(e):
+            rest = e ^ (1 << v)
+            top = 1 << (rest.bit_length() - 1)
+            group = rests[v]
+            group[rest ^ top] = group.get(rest ^ top, 0) | top
+
+    out: list[int] = []
+    stack = [(0, ((1 << n_items) - 1) & ~removed, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x and r:
+                out.append(r)
+            continue
+        live = r | p
+        best, size = p, p.bit_count()
+        for pool, floor in ((x, 0), (p, 1)):
+            for u in bits(pool):
+                branch = p & (1 << u)
+                for key, tops in rests[u].items():
+                    if key & ~live == 0 and tops & live:
+                        branch |= (key | tops) & p
+                        if branch == p:  # cannot beat the default
+                            break
+                n = branch.bit_count()
+                if n < size:
+                    best, size = branch, n
+                    if n <= floor:
+                        break
+            if size <= 1:
+                break
+        for v in bits(best):
+            block = 0
+            for key, tops in rests[v].items():
+                rem = key & ~r
+                if not rem:
+                    block |= tops
+                elif rem & (rem - 1) == 0 and tops & r:
+                    block |= rem
+            v_bit = 1 << v
+            p &= ~v_bit
+            stack.append((r | v_bit, p & ~block, x & ~block))
+            x |= v_bit
+    return out
+
+
 @dataclass(frozen=True)
 class BorderState:
     """The two antichains bounding the unresolved search region.
 
     Both ``mfcs`` and ``mfs`` are antichains, and no ``mfcs`` member lies
-    inside an ``mfs`` member.  :func:`mfcs_gen` keeps these by
-    construction, so neither the search nor the refinement re-checks them.
+    inside an ``mfs`` member.  :func:`maximal_avoiding` and
+    :func:`mfcs_gen` keep these by construction, so neither the search
+    nor the refinement re-checks them.  The ``mfcs`` after each pass is
+    uniquely determined: the maximal nonempty sets containing no
+    infrequent set seen so far, minus those inside an ``mfs`` member.
     """
 
     mfcs: FrozenSet[int]
@@ -88,7 +178,7 @@ class BorderState:
 
 
 def mfcs_gen(state: BorderState, infrequent: Collection[int]) -> BorderState:
-    """Splinter the candidate border around newly found infrequent sets.
+    """Splinter the candidate border around the given infrequent sets.
 
     Every border member containing an infrequent set ``s`` is replaced
     by the members minus one item of ``s`` each, so the result is the
@@ -96,6 +186,11 @@ def mfcs_gen(state: BorderState, infrequent: Collection[int]) -> BorderState:
     in ``infrequent``.  Splinters already covered by another member are
     dropped, as is anything that ends up inside a certified maximal
     frequent set — its support is no longer in question.
+
+    The search passes the output of :func:`maximal_avoiding` as
+    ``state.mfcs`` and only the infrequent sets larger than the current
+    pass, which are few; splintering by every infrequent set would blow
+    up where the border carries no information.
 
     ``state.mfcs`` must be an antichain, as :class:`BorderState` says;
     a member inside an ``mfs`` member is allowed and is dropped.  A

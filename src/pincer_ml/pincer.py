@@ -4,10 +4,13 @@ The search runs the classic bottom-up candidate ladder and a top-down
 border refinement inside the same counting passes.  Each pass counts the
 current candidates together with any border members whose support is
 still unknown; members certified frequent jump straight into the maximal
-result without their subsets ever being counted, and every infrequent
-set found (candidate or border member) splinters the border.  The loop
-ends when both directions are exhausted, which on datasets with large
-maximal sets happens well before the ladder would have climbed there.
+result without their subsets ever being counted.  After each pass the
+border is rebuilt from the infrequent sets found so far: the maximal
+sets avoiding those no larger than the pass are enumerated, then
+splintered by the larger ones, which are earlier border members.  The
+loop ends when both directions are exhausted, which on datasets with
+large maximal sets happens well before the ladder would have climbed
+there.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from .itemsets import (
     Itemset,
     apriori_prune,
     join,
+    maximal_avoiding,
     mfcs_gen,
     pincer_prune,
     recover,
@@ -98,14 +102,19 @@ def pincer_search(
         support.update(count_many(matrix, uncounted, counter))
 
         # Border members are now all counted: frequent ones are maximal,
-        # since the border is an antichain that no member of mfs covers,
-        # and infrequent ones must splinter below.
+        # since the border is an antichain that no member of mfs covers.
         certified = {m for m in state.mfcs if support[m] >= minsup}
-        uncertified = state.mfcs - certified
         frequent_k = {c for c in candidates if support[c] >= minsup}
         infrequent_k = candidates - frequent_k
+        # The new MFCS is determined by the infrequent sets and mfs alone:
+        # enumerate the maximal sets avoiding the small ones, then splinter
+        # those by the larger ones no wider than the widest member.
+        infrequent = [s for s, c in support.items() if c < minsup]
+        members = maximal_avoiding(n_items, [s for s in infrequent if s.bit_count() <= k])
+        widest = max((m.bit_count() for m in members), default=0)
         state = mfcs_gen(
-            BorderState(uncertified, state.mfs | certified), infrequent_k | uncertified
+            BorderState(frozenset(members), state.mfs | certified),
+            [s for s in infrequent if k < s.bit_count() <= widest],
         )
 
         steps.append(
@@ -120,7 +129,6 @@ def pincer_search(
             )
         )
         if observer is not None:
-            infrequent = {s for s, c in support.items() if c < minsup}
             borders = (state.mfcs, state.mfs, infrequent)
             observer(k, *(frozenset(map(to_items, b)) for b in borders))
 

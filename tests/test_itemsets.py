@@ -33,6 +33,10 @@ def apriori_prune(candidates, frequent_k):
     return _tuples(itemsets.apriori_prune(_masks(candidates), _masks(frequent_k)))
 
 
+def maximal_avoiding(n_items, infrequent):
+    return _tuples(itemsets.maximal_avoiding(n_items, _masks(infrequent)))
+
+
 def mfcs_gen(state, infrequent):
     got = itemsets.mfcs_gen(_border(state, _masks), _masks(infrequent))
     return _border(got, _tuples)
@@ -250,3 +254,72 @@ def test_border_antichain_property(infrequent, mfs):
             assert a == b or not set(a) <= set(b)
         for s in infrequent:
             assert not s <= set(a)
+
+
+class TestMaximalAvoiding:
+    def test_nothing_infrequent_keeps_the_universe(self):
+        assert maximal_avoiding(4, []) == {(0, 1, 2, 3)}
+
+    def test_infrequent_singletons_leave_the_universe(self):
+        assert maximal_avoiding(4, [(1,), (3,), (1, 2)]) == {(0, 2)}
+
+    def test_nothing_left(self):
+        assert maximal_avoiding(2, [(0,), (1,)]) == set()
+        assert maximal_avoiding(0, []) == set()
+
+    def test_pairs_give_maximal_cliques(self):
+        # The frequent pairs 01, 02, 12 and 23 form cliques {0,1,2} and {2,3}.
+        assert maximal_avoiding(4, [(0, 3), (1, 3)]) == {(0, 1, 2), (2, 3)}
+
+    def test_every_pair_infrequent_gives_singletons(self):
+        infrequent = combinations(range(5), 2)
+        assert maximal_avoiding(5, infrequent) == {(i,) for i in range(5)}
+
+    def test_every_triple_infrequent_gives_pairs(self):
+        infrequent = combinations(range(6), 3)
+        assert maximal_avoiding(6, infrequent) == set(combinations(range(6), 2))
+
+    def test_mixed_sizes(self):
+        got = maximal_avoiding(5, [(0, 1, 2), (3, 4)])
+        assert got == {a + b for a in combinations(range(3), 2) for b in [(3,), (4,)]}
+
+
+def _avoiding_brute_force(n_items, infrequent, mfs=()):
+    """Maximal nonempty subsets of the universe containing no infrequent
+    set, minus those inside an ``mfs`` member, as masks."""
+    avoiding = {
+        s for s in range(1, 1 << n_items) if not any(f & ~s == 0 for f in infrequent)
+    }
+    return {
+        s
+        for s in avoiding
+        if not any((s | 1 << i) in avoiding for i in range(n_items) if not s >> i & 1)
+        and not any(s & ~f == 0 for f in mfs)
+    }
+
+
+@pytest.mark.parametrize("seed", range(500))
+def test_two_step_border_matches_brute_force(seed):
+    """Enumerate around the infrequent sets of size <= k, then splinter by
+    the larger ones no wider than the widest member, as the search does."""
+    rng = random.Random(seed)
+    n_items = rng.randint(1, 10)
+    universe = list(range(n_items))
+    infrequent = _masks(_random_family(rng, universe, rng.randint(0, 12), 5))
+    drawn = _masks(_random_family(rng, universe, rng.randint(0, 3), n_items))
+    mfs = frozenset(f for f in drawn if not any(f != g and f & ~g == 0 for g in drawn))
+    k = rng.randint(1, 5)
+
+    small = [s for s in infrequent if s.bit_count() <= k]
+    members = itemsets.maximal_avoiding(n_items, small)
+    assert len(members) == len(set(members))
+    assert set(members) == _avoiding_brute_force(n_items, small)
+
+    widest = max((m.bit_count() for m in members), default=0)
+    large = [s for s in infrequent if k < s.bit_count() <= widest]
+    got = itemsets.mfcs_gen(BorderState(frozenset(members), mfs), large)
+    assert got.mfcs == _avoiding_brute_force(n_items, infrequent, mfs)
+    assert got.mfs == mfs
+    for a in got.mfcs:
+        for b in got.mfcs:
+            assert a == b or a & ~b

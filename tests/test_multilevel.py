@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import frequent_by_text, mfs_by_text
+from pincer_ml.baselines import ml_t2l1
 from pincer_ml.errors import ConfigError, InvalidMinsup, LevelOutOfRange
 from pincer_ml.gen import random_dataset
 from pincer_ml.multilevel import (
@@ -191,3 +192,20 @@ def test_policy_dominance_on_random_data(seed):
         }
         for s, support in narrow_sets.items():
             assert wide_sets.get(s) == support
+
+
+def test_wide_level_matches_ml_t2l1():
+    """A 698-item third level whose maximal sets are all pairs or smaller:
+    the border there is the maximal cliques of the frequent-pair graph."""
+    db = random_dataset(
+        10, n_roots=26, max_children=9, total_levels=3, n_transactions=300, max_items=6
+    )
+    config = LevelConfig((6, 2, 2), 3)
+    mined = mine_multilevel(db, config)
+    baseline = ml_t2l1(db, config)
+    assert len(mined.levels[2].vocabulary) == 698
+    assert max(len(s) for s in mined.levels[2].pincer.mfs) == 2
+    for lr, base in zip(mined.levels, baseline.levels, strict=True):
+        assert frequent_by_text(lr.frequent, lr.vocabulary) == frequent_by_text(
+            base.frequent, base.vocabulary
+        )

@@ -186,6 +186,23 @@ class TestBorderInvariants:
         recorder.assert_invariants()
 
 
+# Each wide row's trace, pass by pass: (k, candidates, frequent,
+# infrequent, mfcs_size, mfs_size, passes).  The MFCS after each pass is
+# uniquely determined, so every exact border construction gives these.
+WIDE_STEPS = {
+    (30, 2000): [
+        (1, 30, 30, 0, 30, 0, 1),
+        (2, 435, 435, 0, 435, 0, 2),
+        (3, 4060, 0, 4060, 435, 0, 3),
+    ],
+    (20, 500): [
+        (1, 20, 20, 0, 20, 0, 1),
+        (2, 190, 190, 0, 190, 0, 2),
+        (3, 1140, 0, 1140, 190, 0, 3),
+    ],
+}
+
+
 class TestWideBorders:
     """Borders of hundreds of members, beyond the small random cases."""
 
@@ -202,6 +219,9 @@ class TestWideBorders:
         result = pincer_search(matrix, minsup, observer=recorder)
         recorder.assert_invariants()
         assert max(s.mfcs_size for s in result.trace.steps) == peak
+        expected = [pincer.PassStats(*row) for row in WIDE_STEPS[n_items, n_transactions]]
+        assert list(result.trace.steps) == expected
+        assert result.trace.passes == expected[-1].passes
 
         frequent = {
             to_mask(fs.itemset): fs.support_count
