@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Print one sha256 over the search's answers on 2,000 random matrices.
+
+Matrix ``seed`` is drawn with ``random.Random(seed)``: 1-14 items, 1-60
+rows, density 0.1-0.9, minsup 1-10.  The digest covers each run's
+maximal sets with their supports, its frequent items, every ``PassStats``
+row, the pass total and every observer snapshot, all as plain lists, so
+two checkouts whose searches agree print the same line whatever their
+classes are called.  Run it from the repository root on each side of a
+change to the engine:
+
+    PYTHONPATH=src python3 scripts/answers_digest.py
+"""
+import hashlib
+import json
+import random
+
+from pincer_ml.gen import random_matrix
+from pincer_ml.pincer import pincer_search
+
+SEEDS = range(2000)
+
+
+def answers(seed: int) -> list:
+    rng = random.Random(seed)
+    matrix = random_matrix(
+        rng,
+        n_items=rng.randint(1, 14),
+        n_transactions=rng.randint(1, 60),
+        density=rng.uniform(0.1, 0.9),
+    )
+    minsup = rng.randint(1, 10)
+    snapshots = []
+
+    def observer(k, *borders):
+        snapshots.append([k, *(sorted(map(list, b)) for b in borders)])
+
+    result = pincer_search(matrix, minsup, observer=observer)
+    steps = [
+        [s.k, s.candidates, s.frequent, s.infrequent, s.mfcs_size, s.mfs_size, s.passes]
+        for s in result.trace.steps
+    ]
+    return [
+        [[list(items), support] for items, support in result.mfs.items()],
+        sorted(result.frequent_items),
+        steps,
+        result.trace.passes,
+        snapshots,
+    ]
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        digest.update(json.dumps(answers(seed)).encode())
+        digest.update(b"\n")
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -8,12 +8,14 @@ by prefix joins; the top-down side keeps a :class:`BorderState`:
 given every infrequent set seen so far, and ``mfs`` is the antichain of
 sets already certified frequent and maximal.
 
-After pass ``k`` the ``mfcs`` is built in two exact steps.
-:func:`maximal_avoiding` enumerates from scratch the maximal sets that
-contain no infrequent set of size at most ``k`` (for ``k = 2`` these are
-the maximal cliques of the frequent-pair graph).  :func:`mfcs_gen` then
-splinters those by the few larger infrequent sets, which are earlier
-border members, and drops whatever lies inside an ``mfs`` member.
+After pass ``k`` one call to :func:`mfcs_gen` builds the ``mfcs`` from
+scratch in two exact steps.  :func:`maximal_avoiding` enumerates the
+maximal sets that contain no infrequent set of size at most ``k`` (for
+``k = 2`` these are the maximal cliques of the frequent-pair graph);
+those are then splintered by the few larger infrequent sets, which are
+earlier border members, and whatever lies inside an ``mfs`` member is
+dropped.  Because that border is exact, :func:`pincer_prune` needs only
+what has been counted and the ``mfs``.
 """
 from __future__ import annotations
 
@@ -166,42 +168,42 @@ class BorderState:
     """The two antichains bounding the unresolved search region.
 
     Both ``mfcs`` and ``mfs`` are antichains, and no ``mfcs`` member lies
-    inside an ``mfs`` member.  :func:`maximal_avoiding` and
-    :func:`mfcs_gen` keep these by construction, so neither the search
-    nor the refinement re-checks them.  The ``mfcs`` after each pass is
-    uniquely determined: the maximal nonempty sets containing no
-    infrequent set seen so far, minus those inside an ``mfs`` member.
+    inside an ``mfs`` member.  :func:`mfcs_gen` keeps these by
+    construction, so the search does not re-check them.  The ``mfcs``
+    after each pass is uniquely determined: the maximal nonempty sets
+    containing no infrequent set seen so far, minus those inside an
+    ``mfs`` member.
     """
 
     mfcs: FrozenSet[int]
     mfs: FrozenSet[int]
 
 
-def mfcs_gen(state: BorderState, infrequent: Collection[int]) -> BorderState:
-    """Splinter the candidate border around the given infrequent sets.
+def mfcs_gen(
+    mfs: Collection[int], infrequent: Collection[int], k: int, n_items: int
+) -> BorderState:
+    """The candidate border after pass ``k``, built from scratch.
 
-    Every border member containing an infrequent set ``s`` is replaced
-    by the members minus one item of ``s`` each, so the result is the
-    antichain of maximal subsets of the old members that avoid every set
-    in ``infrequent``.  Splinters already covered by another member are
-    dropped, as is anything that ends up inside a certified maximal
-    frequent set — its support is no longer in question.
+    The result's ``mfcs`` is every maximal nonempty subset of
+    ``0..n_items-1`` that contains no set in ``infrequent``, minus those
+    inside an ``mfs`` member; its ``mfs`` is ``mfs``.
+    :func:`maximal_avoiding` enumerates the maximal sets avoiding the
+    infrequent sets of at most ``k`` items.  Each of those containing a
+    larger infrequent set ``s`` is then replaced by its subsets missing
+    one item of ``s`` each; sets wider than the widest member cannot be
+    contained in any and are skipped.  Splintering by every infrequent
+    set would blow up where the border carries no information; the
+    larger ones are earlier border members and usually few.
 
-    The search passes the output of :func:`maximal_avoiding` as
-    ``state.mfcs`` and only the infrequent sets larger than the current
-    pass, which are few; splintering by every infrequent set would blow
-    up where the border carries no information.
-
-    ``state.mfcs`` must be an antichain, as :class:`BorderState` says;
-    a member inside an ``mfs`` member is allowed and is dropped.  A
-    splinter ``m - e`` cannot contain an unsplit member (that member
+    A splinter ``m - e`` cannot contain an unsplit member (that member
     would lie inside ``m``), nor another splinter (``m1 - e1 <= m2 - e2``
     forces ``e1 == e2`` and ``m1 <= m2``), so the result is an antichain
     without a final maximality pass.
     """
-    members = sorted(state.mfcs)
-    mfs = state.mfs
-    for s in sorted(infrequent):
+    small = [s for s in infrequent if s.bit_count() <= k]
+    members = sorted(maximal_avoiding(n_items, small))
+    widest = max((m.bit_count() for m in members), default=0)
+    for s in sorted(s for s in infrequent if k < s.bit_count() <= widest):
         survivors: list[int] = []
         split: list[int] = []
         for m in members:
@@ -213,12 +215,10 @@ def mfcs_gen(state: BorderState, infrequent: Collection[int]) -> BorderState:
                     continue
                 if any(piece & ~other == 0 for other in survivors):
                     continue
-                if any(piece & ~f == 0 for f in mfs):
-                    continue
                 survivors.append(piece)
         members = survivors
     kept = frozenset(m for m in members if not any(m & ~f == 0 for f in mfs))
-    return BorderState(kept, mfs)
+    return BorderState(kept, frozenset(mfs))
 
 
 def recover(
@@ -241,18 +241,22 @@ def recover(
     return out
 
 
-def pincer_prune(candidates: Collection[int], state: BorderState) -> set[int]:
+def pincer_prune(
+    candidates: Collection[int], mfs: Collection[int], counted: Collection[int]
+) -> set[int]:
     """Keep only candidates whose support is still genuinely unknown.
 
-    A candidate outside every ``mfcs`` member is provably infrequent; a
-    candidate inside some ``mfs`` member is provably frequent.  Neither
-    needs counting.
+    A candidate in ``counted`` already has its support; one inside an
+    ``mfs`` member is provably frequent.  Neither needs counting.
+
+    Unchecked: every candidate either lies inside an ``mfs`` member or
+    has all its one-smaller subsets counted frequent, and the border was
+    rebuilt by :func:`mfcs_gen` after the last pass.  Such a candidate
+    can contain no counted infrequent set but itself, so an uncounted
+    one lies inside a maximal set avoiding them all: an ``mfcs`` member
+    or a set inside an ``mfs`` member.  Testing it against the ``mfcs``
+    could therefore only drop a counted set.
     """
-    out: set[int] = set()
-    for c in candidates:
-        if not any(c & ~m == 0 for m in state.mfcs):
-            continue
-        if any(c & ~f == 0 for f in state.mfs):
-            continue
-        out.add(c)
-    return out
+    return {
+        c for c in candidates if c not in counted and not any(c & ~f == 0 for f in mfs)
+    }

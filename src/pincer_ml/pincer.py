@@ -5,9 +5,10 @@ border refinement inside the same counting passes.  Each pass counts the
 current candidates together with any border members whose support is
 still unknown; members certified frequent jump straight into the maximal
 result without their subsets ever being counted.  After each pass the
-border is rebuilt from the infrequent sets found so far: the maximal
-sets avoiding those no larger than the pass are enumerated, then
-splintered by the larger ones, which are earlier border members.  The
+border is rebuilt from scratch by one call to ``mfcs_gen``, from the
+infrequent sets found so far and the certified maximal sets.  Since that
+border is exact, the candidates of the next pass need pruning only
+against what has been counted and what is certified frequent.  The
 loop ends when both directions are exhausted, which on datasets with
 large maximal sets happens well before the ladder would have climbed
 there.
@@ -23,7 +24,6 @@ from .itemsets import (
     Itemset,
     apriori_prune,
     join,
-    maximal_avoiding,
     mfcs_gen,
     pincer_prune,
     recover,
@@ -106,16 +106,9 @@ def pincer_search(
         certified = {m for m in state.mfcs if support[m] >= minsup}
         frequent_k = {c for c in candidates if support[c] >= minsup}
         infrequent_k = candidates - frequent_k
-        # The new MFCS is determined by the infrequent sets and mfs alone:
-        # enumerate the maximal sets avoiding the small ones, then splinter
-        # those by the larger ones no wider than the widest member.
+        # The new MFCS is determined by the infrequent sets and mfs alone.
         infrequent = [s for s, c in support.items() if c < minsup]
-        members = maximal_avoiding(n_items, [s for s in infrequent if s.bit_count() <= k])
-        widest = max((m.bit_count() for m in members), default=0)
-        state = mfcs_gen(
-            BorderState(frozenset(members), state.mfs | certified),
-            [s for s in infrequent if k < s.bit_count() <= widest],
-        )
+        state = mfcs_gen(state.mfs | certified, infrequent, k, n_items)
 
         steps.append(
             PassStats(
@@ -132,9 +125,12 @@ def pincer_search(
             borders = (state.mfcs, state.mfs, infrequent)
             observer(k, *(frozenset(map(to_items, b)) for b in borders))
 
+        # Every joined candidate has all its k-subsets frequent, so with
+        # the border exact only counted and certified sets are settled.
         candidates = pincer_prune(
             recover(apriori_prune(join(frequent_k), frequent_k), frequent_k, state.mfs),
-            state,
+            state.mfs,
+            support,
         )
         k += 1
 

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pincer_ml import itemsets
-from pincer_ml.itemsets import BorderState, bits, itemset, to_items, to_mask
+from pincer_ml.itemsets import bits, itemset, to_items, to_mask
 
 # The engine works on int masks; these adapters let every case below be
-# written, and its answer read, as index tuples.  A ``BorderState`` in
-# this module holds tuples and is converted on each call.
+# written, and its answer read, as index tuples.
 
 
 def _masks(family):
@@ -19,10 +18,6 @@ def _masks(family):
 
 def _tuples(masks):
     return {to_items(m) for m in masks}
-
-
-def _border(state, convert):
-    return BorderState(frozenset(convert(state.mfcs)), frozenset(convert(state.mfs)))
 
 
 def join(frequent_k):
@@ -37,9 +32,11 @@ def maximal_avoiding(n_items, infrequent):
     return _tuples(itemsets.maximal_avoiding(n_items, _masks(infrequent)))
 
 
-def mfcs_gen(state, infrequent):
-    got = itemsets.mfcs_gen(_border(state, _masks), _masks(infrequent))
-    return _border(got, _tuples)
+def mfcs_gen(mfs, infrequent, k, n_items):
+    """The MFCS, as index tuples, after pass ``k`` over ``n_items`` items."""
+    got = itemsets.mfcs_gen(_masks(mfs), _masks(infrequent), k, n_items)
+    assert got.mfs == _masks(mfs)
+    return _tuples(got.mfcs)
 
 
 def recover(candidates, frequent_k, mfs):
@@ -47,8 +44,9 @@ def recover(candidates, frequent_k, mfs):
     return _tuples(got)
 
 
-def pincer_prune(candidates, state):
-    return _tuples(itemsets.pincer_prune(_masks(candidates), _border(state, _masks)))
+def pincer_prune(candidates, mfs, counted):
+    got = itemsets.pincer_prune(_masks(candidates), _masks(mfs), _masks(counted))
+    return _tuples(got)
 
 
 def test_itemset_normalizes():
@@ -97,73 +95,57 @@ class TestAprioriPrune:
 
 
 class TestBorderRefinement:
+    """Most cases take ``k = 0``: nothing is enumerated around, so the
+    whole universe is splintered by every infrequent set."""
+
     def test_single_infrequent_singleton(self):
-        state = BorderState(frozenset({(0, 1, 2)}), frozenset())
-        got = mfcs_gen(state, [(1,)])
-        assert got.mfcs == frozenset({(0, 2)})
+        assert mfcs_gen([], [(1,)], 0, 3) == {(0, 2)}
 
     def test_chained_singletons(self):
-        state = BorderState(frozenset({tuple(range(9))}), frozenset())
-        got = mfcs_gen(state, [(0,), (8,)])
-        assert got.mfcs == frozenset({tuple(range(1, 8))})
+        assert mfcs_gen([], [(0,), (8,)], 0, 9) == {tuple(range(1, 8))}
 
     def test_pair_splits_into_two(self):
-        state = BorderState(frozenset({(0, 1, 2, 3)}), frozenset())
-        got = mfcs_gen(state, [(1, 2)])
-        assert got.mfcs == frozenset({(0, 1, 3), (0, 2, 3)})
+        assert mfcs_gen([], [(1, 2)], 0, 4) == {(0, 1, 3), (0, 2, 3)}
 
     def test_untouched_member_survives(self):
-        state = BorderState(frozenset({(0, 1), (2, 3)}), frozenset())
-        got = mfcs_gen(state, [(0, 1)])
-        # (0,) and (1,) are both swallowed by nothing, so they stay;
-        # (2, 3) never contained the infrequent pair
-        assert got.mfcs == frozenset({(0,), (1,), (2, 3)})
+        # Every pair across {0,1,2} and {3,4,5} is infrequent, so pass 2
+        # enumerates (0, 1, 2) and (3, 4, 5); only the first contains
+        # the infrequent triple.
+        infrequent = [(a, b) for a in range(3) for b in range(3, 6)] + [(0, 1, 2)]
+        got = mfcs_gen([], infrequent, 2, 6)
+        assert got == {(0, 1), (0, 2), (1, 2), (3, 4, 5)}
 
     def test_known_maximal_absorbs_splinters(self):
-        state = BorderState(frozenset({(0, 1, 2)}), frozenset({(1, 2)}))
-        got = mfcs_gen(state, [(0,)])
         # the splinter (1, 2) is already certified frequent
-        assert got.mfcs == frozenset()
+        assert mfcs_gen([(1, 2)], [(0,)], 0, 3) == set()
 
     def test_empty_splinters_vanish(self):
-        state = BorderState(frozenset({(4,)}), frozenset())
-        got = mfcs_gen(state, [(4,)])
-        assert got.mfcs == frozenset()
+        assert mfcs_gen([], [(0,)], 0, 1) == set()
 
     def test_result_is_antichain(self):
-        state = BorderState(frozenset({(0, 1, 2, 3, 4)}), frozenset())
-        got = mfcs_gen(state, [(0, 1), (1, 2), (2, 3)])
-        members = sorted(got.mfcs)
-        for a in members:
-            for b in members:
+        got = sorted(mfcs_gen([], [(0, 1), (1, 2), (2, 3)], 0, 5))
+        for a in got:
+            for b in got:
                 assert a == b or not set(a) <= set(b)
 
     def test_no_member_contains_infrequent(self):
         infrequent = [(0, 3), (1, 4), (2,)]
-        state = BorderState(frozenset({tuple(range(6))}), frozenset())
-        got = mfcs_gen(state, infrequent)
-        for m in got.mfcs:
+        for m in mfcs_gen([], infrequent, 0, 6):
             for s in infrequent:
                 assert not set(s) <= set(m)
 
 
-def _border_oracle(members, infrequent, mfs):
-    """Maximal subsets of the members avoiding every infrequent set and
-    not already covered by a certified maximal frequent set."""
-    valid = set()
-    for m in members:
-        for size in range(1, len(m) + 1):
-            for sub in combinations(m, size):
-                s = set(sub)
-                if any(set(i) <= s for i in infrequent):
-                    continue
-                if any(s <= set(f) for f in mfs):
-                    continue
-                valid.add(frozenset(s))
+def _avoiding_brute_force(n_items, infrequent, mfs=()):
+    """Maximal nonempty subsets of the universe containing no infrequent
+    set, minus those inside an ``mfs`` member, as masks."""
+    avoiding = {
+        s for s in range(1, 1 << n_items) if not any(f & ~s == 0 for f in infrequent)
+    }
     return {
-        tuple(sorted(s))
-        for s in valid
-        if not any(s < t for t in valid)
+        s
+        for s in avoiding
+        if not any((s | 1 << i) in avoiding for i in range(n_items) if not s >> i & 1)
+        and not any(s & ~f == 0 for f in mfs)
     }
 
 
@@ -177,30 +159,32 @@ def _random_family(rng, universe, count, max_size):
 
 @pytest.mark.parametrize("seed", range(200))
 def test_border_refinement_matches_oracle(seed):
+    """``mfs`` need not be an antichain: a member inside another drops
+    nothing the other does not."""
     rng = random.Random(seed)
     universe = list(range(rng.randint(3, 10)))
-    members = _random_family(rng, universe, rng.randint(1, 3), len(universe))
-    # keep only maximal members so the input is a legal antichain
-    members = {
-        m for m in members if not any(m != o and set(m) <= set(o) for o in members)
-    }
-    infrequent = _random_family(rng, universe, rng.randint(0, 4), 3)
-    mfs = frozenset(_random_family(rng, universe, rng.randint(0, 2), 4))
-    got = mfcs_gen(BorderState(frozenset(members), mfs), infrequent)
-    assert set(got.mfcs) == _border_oracle(members, infrequent, mfs)
+    infrequent = _masks(_random_family(rng, universe, rng.randint(0, 4), 3))
+    mfs = _masks(_random_family(rng, universe, rng.randint(0, 2), 4))
+    k = rng.randint(0, 3)
+    got = itemsets.mfcs_gen(mfs, infrequent, k, len(universe))
+    assert got.mfcs == _avoiding_brute_force(len(universe), infrequent, mfs)
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_border_refinement_is_batch_order_independent(seed):
+    """However the pass number cuts the infrequent sets into the batch
+    enumerated around and the batch splintered by, and in whatever order
+    they come, the border is the same."""
     rng = random.Random(seed)
     universe = list(range(8))
-    members = {tuple(universe)}
-    batch_a = _random_family(rng, universe, 3, 3)
-    batch_b = _random_family(rng, universe, 3, 3)
-    state = BorderState(frozenset(members), frozenset())
-    one = mfcs_gen(mfcs_gen(state, batch_a), batch_b)
-    other = mfcs_gen(mfcs_gen(state, batch_b), batch_a)
-    assert one.mfcs == other.mfcs
+    batch_a = list(_random_family(rng, universe, 3, 3))
+    batch_b = list(_random_family(rng, universe, 3, 3))
+    borders = {
+        frozenset(mfcs_gen([], first + second, k, 8))
+        for first, second in ((batch_a, batch_b), (batch_b, batch_a))
+        for k in range(4)
+    }
+    assert len(borders) == 1
 
 
 class TestRecover:
@@ -221,17 +205,15 @@ class TestRecover:
 
 
 class TestPincerPrune:
-    def test_outside_border_is_dropped(self):
-        state = BorderState(frozenset({(0, 1, 2)}), frozenset())
-        assert pincer_prune({(0, 3)}, state) == set()
+    def test_counted_is_dropped(self):
+        assert pincer_prune({(0, 3), (1, 2)}, [], [(0, 3), (4,)]) == {(1, 2)}
 
     def test_inside_known_frequent_is_dropped(self):
-        state = BorderState(frozenset({(0, 1, 2, 3)}), frozenset({(0, 1, 2)}))
-        assert pincer_prune({(0, 1), (0, 3)}, state) == {(0, 3)}
+        assert pincer_prune({(0, 1), (0, 3)}, [(0, 1, 2)], []) == {(0, 3)}
 
     def test_unknown_candidates_survive(self):
-        state = BorderState(frozenset({(0, 1, 2)}), frozenset())
-        assert pincer_prune({(0, 1), (1, 2)}, state) == {(0, 1), (1, 2)}
+        got = pincer_prune({(0, 1), (1, 2)}, [(0, 2), (3, 4)], [(0,), (1,), (2,)])
+        assert got == {(0, 1), (1, 2)}
 
 
 family = st.sets(
@@ -242,12 +224,7 @@ family = st.sets(
 @settings(max_examples=200, deadline=None)
 @given(infrequent=family, mfs=family)
 def test_border_antichain_property(infrequent, mfs):
-    members = frozenset({tuple(range(8))})
-    got = mfcs_gen(
-        BorderState(members, frozenset(tuple(sorted(f)) for f in mfs)),
-        [tuple(sorted(f)) for f in infrequent],
-    )
-    out = sorted(got.mfcs)
+    out = sorted(mfcs_gen(mfs, infrequent, 0, 8))
     for a in out:
         assert a, "empty member leaked through"
         for b in out:
@@ -284,42 +261,27 @@ class TestMaximalAvoiding:
         assert got == {a + b for a in combinations(range(3), 2) for b in [(3,), (4,)]}
 
 
-def _avoiding_brute_force(n_items, infrequent, mfs=()):
-    """Maximal nonempty subsets of the universe containing no infrequent
-    set, minus those inside an ``mfs`` member, as masks."""
-    avoiding = {
-        s for s in range(1, 1 << n_items) if not any(f & ~s == 0 for f in infrequent)
-    }
-    return {
-        s
-        for s in avoiding
-        if not any((s | 1 << i) in avoiding for i in range(n_items) if not s >> i & 1)
-        and not any(s & ~f == 0 for f in mfs)
-    }
-
-
 @pytest.mark.parametrize("seed", range(500))
 def test_two_step_border_matches_brute_force(seed):
-    """Enumerate around the infrequent sets of size <= k, then splinter by
-    the larger ones no wider than the widest member, as the search does."""
+    """Every cut k between the sets enumerated around and the sets
+    splintered by gives the one border the infrequent sets determine."""
     rng = random.Random(seed)
     n_items = rng.randint(1, 10)
     universe = list(range(n_items))
     infrequent = _masks(_random_family(rng, universe, rng.randint(0, 12), 5))
     drawn = _masks(_random_family(rng, universe, rng.randint(0, 3), n_items))
     mfs = frozenset(f for f in drawn if not any(f != g and f & ~g == 0 for g in drawn))
-    k = rng.randint(1, 5)
+    expected = _avoiding_brute_force(n_items, infrequent, mfs)
 
-    small = [s for s in infrequent if s.bit_count() <= k]
-    members = itemsets.maximal_avoiding(n_items, small)
-    assert len(members) == len(set(members))
-    assert set(members) == _avoiding_brute_force(n_items, small)
+    for k in range(7):
+        small = [s for s in infrequent if s.bit_count() <= k]
+        members = itemsets.maximal_avoiding(n_items, small)
+        assert len(members) == len(set(members))
+        assert set(members) == _avoiding_brute_force(n_items, small)
 
-    widest = max((m.bit_count() for m in members), default=0)
-    large = [s for s in infrequent if k < s.bit_count() <= widest]
-    got = itemsets.mfcs_gen(BorderState(frozenset(members), mfs), large)
-    assert got.mfcs == _avoiding_brute_force(n_items, infrequent, mfs)
-    assert got.mfs == mfs
+        got = itemsets.mfcs_gen(mfs, infrequent, k, n_items)
+        assert got.mfcs == expected, f"k={k}"
+        assert got.mfs == mfs
     for a in got.mfcs:
         for b in got.mfcs:
             assert a == b or a & ~b

@@ -235,6 +235,69 @@ class TestWideBorders:
         assert dict(result.mfs) == maximal
 
 
+def check_prune(monkeypatch, pincer_prune):
+    """Route the search's prunes through ``pincer_prune``, asserting each
+    result equals the rule it replaced: keep a candidate inside some MFCS
+    member and inside no MFS member.
+
+    Returns the observer that supplies the MFCS, which fires just before
+    each prune, and the list of candidate counts of the checked calls.
+    """
+    border = []
+    checked = []
+
+    def observer(k, mfcs, mfs, infrequent):
+        border[:] = map(to_mask, mfcs)
+
+    def checking(candidates, mfs, counted):
+        got = pincer_prune(candidates, mfs, counted)
+        old = {
+            c
+            for c in candidates
+            if any(c & ~m == 0 for m in border) and not any(c & ~f == 0 for f in mfs)
+        }
+        assert got == old
+        checked.append(len(candidates))
+        return got
+
+    monkeypatch.setattr(pincer, "pincer_prune", checking)
+    return observer, checked
+
+
+class TestPruneMatchesBorderRule:
+    """The prune reads only what was counted and the MFS; on the ladder's
+    candidates that agrees with testing each against the whole MFCS."""
+
+    def test_bookstore_all_levels(self, bookstore, monkeypatch):
+        pincer_prune = pincer.pincer_prune
+        for level, minsup in ((1, 3), (2, 2), (3, 2)):
+            observer, checked = check_prune(monkeypatch, pincer_prune)
+            pincer_search(project_to_level(bookstore, level), minsup, observer=observer)
+            assert sum(checked) > 0
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_runs(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        matrix = random_matrix(
+            rng,
+            n_items=rng.randint(1, 12),
+            n_transactions=rng.randint(1, 40),
+            density=rng.uniform(0.1, 0.9),
+        )
+        observer, _ = check_prune(monkeypatch, pincer.pincer_prune)
+        pincer_search(matrix, rng.randint(1, 8), observer=observer)
+
+    @pytest.mark.parametrize(
+        "n_items, n_transactions, density, minsup",
+        [(30, 2000, 0.3, 150), (20, 500, 0.5, 90)],
+    )
+    def test_wide_rows(self, n_items, n_transactions, density, minsup, monkeypatch):
+        matrix = random_matrix(random.Random(0), n_items, n_transactions, density)
+        observer, checked = check_prune(monkeypatch, pincer.pincer_prune)
+        pincer_search(matrix, minsup, observer=observer)
+        assert sum(checked) > 0
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(1000, 1060))
     def test_maximal_sets_match_brute_force(self, seed):
