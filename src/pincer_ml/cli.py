@@ -21,7 +21,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -341,6 +340,8 @@ def cmd_mine(args) -> int:
 
 
 def _compare_payload(report: ComparisonReport) -> dict:
+    from dataclasses import asdict
+
     totals = asdict(report)
     levels = totals.pop("levels")
     rows = [row for level in levels for row in level["rows"]]

@@ -19,9 +19,8 @@ what has been counted and the ``mfs``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, FrozenSet, Iterable, Iterator
+from typing import Collection, FrozenSet, Iterable, Iterator, NamedTuple
 
 Itemset = tuple[int, ...]
 
@@ -163,8 +162,7 @@ def maximal_avoiding(n_items: int, infrequent: Iterable[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class BorderState:
+class BorderState(NamedTuple):
     """The two antichains bounding the unresolved search region.
 
     Both ``mfcs`` and ``mfs`` are antichains, and no ``mfcs`` member lies

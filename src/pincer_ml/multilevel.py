@@ -8,8 +8,8 @@ Each level gets its own support threshold.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConfigError, InvalidMinsup, LevelOutOfRange
 from .pincer import PincerResult, pincer_search
@@ -25,15 +25,19 @@ class DescentPolicy(str, Enum):
     MAXIMAL_ITEMSET_ITEMS = "maximal-itemset-items"
 
 
-@dataclass(frozen=True)
-class LevelConfig:
-    """Per-level thresholds and the descent policy for a full run."""
-
+class _LevelConfigFields(NamedTuple):
     minsup_per_level: tuple[int, ...]
     total_levels: int
     descent_policy: DescentPolicy = DescentPolicy.FREQUENT_PARENTS
 
-    def __post_init__(self) -> None:
+
+class LevelConfig(_LevelConfigFields):
+    """Per-level thresholds and the descent policy for a full run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> LevelConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.minsup_per_level) != self.total_levels:
             raise ConfigError(
                 f"{len(self.minsup_per_level)} thresholds given for "
@@ -47,13 +51,13 @@ class LevelConfig:
                 warnings.warn(
                     "a deeper level has a higher support threshold than the "
                     "level above it; deeper items can only be rarer",
-                    stacklevel=3,
+                    stacklevel=2,
                 )
                 break
+        return self
 
 
-@dataclass(frozen=True, eq=False)
-class LevelResult:
+class LevelResult(NamedTuple):
     level: int
     minsup: int
     vocabulary: tuple[ItemCode, ...]
@@ -63,8 +67,7 @@ class LevelResult:
     expansion_passes: int
 
 
-@dataclass(frozen=True, eq=False)
-class MultiLevelResult:
+class MultiLevelResult(NamedTuple):
     levels: tuple[LevelResult, ...]
     mining_passes: int
     expansion_passes: int

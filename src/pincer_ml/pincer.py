@@ -15,8 +15,7 @@ there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidMinsup
 from .itemsets import (
@@ -37,8 +36,7 @@ from .transactions import LevelMatrix, PassCounter, count_many
 Observer = Callable[[int, "frozenset[Itemset]", "frozenset[Itemset]", "frozenset[Itemset]"], None]
 
 
-@dataclass(frozen=True)
-class PassStats:
+class PassStats(NamedTuple):
     """Sizes recorded at the end of one counting pass."""
 
     k: int
@@ -50,14 +48,12 @@ class PassStats:
     passes: int
 
 
-@dataclass(frozen=True)
-class PincerTrace:
+class PincerTrace(NamedTuple):
     steps: tuple[PassStats, ...]
     passes: int
 
 
-@dataclass(frozen=True, eq=False)
-class PincerResult:
+class PincerResult(NamedTuple):
     """Maximal frequent itemsets with supports, plus run accounting."""
 
     mfs: Mapping[Itemset, int]

@@ -7,9 +7,8 @@ are then read off the expanded family with exact rational confidences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import InvalidConfidence, ItemsetTooLarge, MissingSubsetSupport
 from .itemsets import Itemset, to_items, to_mask
@@ -23,8 +22,7 @@ MAX_EXPANSION_SUBSETS = 2**20
 MAX_RULE_CANDIDATES = 2**20
 
 
-@dataclass(frozen=True)
-class FrequentSet:
+class FrequentSet(NamedTuple):
     """A frequent itemset with its absolute support."""
 
     itemset: Itemset
@@ -36,8 +34,7 @@ class FrequentSet:
         return Fraction(self.support_count, self.n_transactions)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """An association rule with exact rational confidence."""
 
     antecedent: Itemset

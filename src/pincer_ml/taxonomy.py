@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -81,7 +80,6 @@ def generalize(code: ItemCode, level: int) -> ItemCode:
     return ItemCode(code[:level] + WILDCARD * (len(code) - level))
 
 
-@dataclass(frozen=True, eq=False)
 class Taxonomy:
     """All fully specified codes plus display names for every node.
 
@@ -93,6 +91,9 @@ class Taxonomy:
     codes: frozenset[ItemCode]
     names: Mapping[ItemCode, str]
     total_levels: int
+
+    def __init__(self, codes, names, total_levels) -> None:
+        self.codes, self.names, self.total_levels = codes, names, total_levels
 
     @cached_property
     def _by_depth(self) -> dict[int, tuple[ItemCode, ...]]:

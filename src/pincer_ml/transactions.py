@@ -7,7 +7,6 @@ so a support query is a handful of bitwise ANDs and a population count.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, NoReturn
@@ -18,14 +17,15 @@ from .taxonomy import ItemCode, Taxonomy, generalize
 from .taxonomy import _csv_records
 
 
-@dataclass
 class PassCounter:
     """Counts full counting sweeps over a transaction matrix."""
 
-    passes: int = 0
+    __slots__ = ("passes",)
+
+    def __init__(self, passes: int = 0) -> None:
+        self.passes = passes
 
 
-@dataclass(frozen=True, eq=False)
 class TransactionDB:
     """Raw transactions as leaf indices: one (tid, row) pair per basket.
 
@@ -37,6 +37,9 @@ class TransactionDB:
     tids: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     taxonomy: Taxonomy
+
+    def __init__(self, tids, rows, taxonomy) -> None:
+        self.tids, self.rows, self.taxonomy = tids, rows, taxonomy
 
     @property
     def leaves(self) -> tuple[ItemCode, ...]:
@@ -121,7 +124,6 @@ def read_transactions_csv(path: str | Path, taxonomy: Taxonomy) -> TransactionDB
     return load_transactions(_csv_records(Path(path), ("tid", "item")), taxonomy)
 
 
-@dataclass(frozen=True, eq=False)
 class LevelMatrix:
     """Boolean occurrence matrix at one taxonomy depth, kept by column.
 
@@ -134,6 +136,12 @@ class LevelMatrix:
     vocabulary: tuple[ItemCode, ...]
     n_transactions: int
     leaf_columns: Mapping[ItemCode, int]
+
+    def __init__(self, level, vocabulary, n_transactions, leaf_columns) -> None:
+        self.level = level
+        self.vocabulary = vocabulary
+        self.n_transactions = n_transactions
+        self.leaf_columns = leaf_columns
 
     @cached_property
     def columns(self) -> tuple[int, ...]:

@@ -439,7 +439,7 @@ class TestImportFootprint:
         probe = (
             "import sys, pincer_ml.cli; "
             "print(sorted(m for m in ('pincer_ml.baselines', 'pincer_ml.oracle', "
-            "'pincer_ml.gen', 'hashlib') if m in sys.modules))"
+            "'pincer_ml.gen', 'hashlib', 'dataclasses', 'inspect') if m in sys.modules))"
         )
         done = python_with_src("-c", probe)
         assert done.returncode == 0

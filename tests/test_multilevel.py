@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,13 +7,15 @@ from helpers import frequent_by_text, mfs_by_text
 from pincer_ml.baselines import ml_t2l1
 from pincer_ml.errors import ConfigError, InvalidMinsup, LevelOutOfRange
 from pincer_ml.gen import random_dataset
+from pincer_ml.itemsets import BorderState
 from pincer_ml.multilevel import (
     DescentPolicy,
     LevelConfig,
     descend_vocabulary,
     mine_multilevel,
 )
-from pincer_ml.pincer import pincer_search
+from pincer_ml.pincer import PassStats, PincerTrace, pincer_search
+from pincer_ml.rules import FrequentSet, Rule
 from pincer_ml.transactions import count_support, project_to_level
 
 FP = DescentPolicy.FREQUENT_PARENTS
@@ -43,6 +46,28 @@ class TestLevelConfig:
     def test_policy_from_string_value(self):
         assert DescentPolicy("frequent-parents") is FP
         assert DescentPolicy("maximal-itemset-items") is MAXIMAL
+
+
+# Each value record: its class, constructor arguments, and one field.
+VALUE_RECORDS = {
+    "LevelConfig": (LevelConfig, ((3, 2, 2), 3, MAXIMAL), "total_levels"),
+    "PassStats": (PassStats, (2, 10, 4, 6, 3, 1, 2), "k"),
+    "PincerTrace": (PincerTrace, ((PassStats(1, 5, 5, 0, 1, 0, 1),), 1), "passes"),
+    "BorderState": (BorderState, (frozenset({0b11}), frozenset({0b100})), "mfcs"),
+    "FrequentSet": (FrequentSet, ((0, 2), 3, 9), "support_count"),
+    "Rule": (Rule, ((0,), (2,), 3, Fraction(3, 4), 1), "confidence"),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_RECORDS)
+def test_value_records_compare_hash_and_refuse_assignment(name):
+    cls, args, field = VALUE_RECORDS[name]
+    record, twin = cls(*args), cls(*args)
+    assert record == twin
+    assert hash(record) == hash(twin)
+    for attribute in (field, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, getattr(twin, field))
 
 
 class TestDescent:

@@ -10,7 +10,6 @@ pass by pass, not just to the same final answer.
 """
 import json
 import random
-from dataclasses import asdict
 
 from conftest import GOLDEN
 from pincer_ml.gen import random_matrix
@@ -42,7 +41,7 @@ def record(bookstore):
         traces[name] = {
             "minsup": minsup,
             "passes": result.trace.passes,
-            "steps": [asdict(step) for step in result.trace.steps],
+            "steps": [step._asdict() for step in result.trace.steps],
             "mfs": [[list(items), support] for items, support in result.mfs.items()],
         }
     return traces
