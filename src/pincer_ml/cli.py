@@ -225,54 +225,8 @@ def _meta(command: str) -> dict:
 # ---------------------------------------------------------------- mine
 
 
-def _mine_payload(
-    result: MultiLevelResult,
-    rules_per_level: list[tuple[Rule, ...]],
-    min_conf: Fraction,
-) -> dict:
-    levels = []
-    for lr, rules in zip(result.levels, rules_per_level):
-        # One text tuple per itemset and one text per support count: every
-        # maximal set, antecedent and consequent is a frequent set of the
-        # level, and JSON encodes the shared tuples as arrays.
-        names = [code.text for code in lr.vocabulary]
-        texts = {}
-        fractions = {}
-        for fs in lr.frequent:
-            texts[fs.itemset] = tuple([names[i] for i in fs.itemset])
-            if fs.support_count not in fractions:
-                fractions[fs.support_count] = str(fs.support_fraction)
-        levels.append(
-            {
-                "level": lr.level,
-                "minsup": lr.minsup,
-                "vocabulary_size": len(lr.vocabulary),
-                "mining_passes": lr.mining_passes,
-                "expansion_passes": lr.expansion_passes,
-                "maximal_frequent_sets": [
-                    {"items": texts[s], "support": c}
-                    for s, c in lr.pincer.mfs.items()
-                ],
-                "frequent_itemsets": [
-                    {
-                        "items": texts[fs.itemset],
-                        "support": fs.support_count,
-                        "fraction": fractions[fs.support_count],
-                    }
-                    for fs in lr.frequent
-                ],
-                "rules": [
-                    {
-                        "antecedent": texts[r.antecedent],
-                        "consequent": texts[r.consequent],
-                        "support": r.support_count,
-                        "confidence": str(r.confidence),
-                    }
-                    for r in rules
-                ],
-            }
-        )
-    totals = {
+def _mine_totals(result: MultiLevelResult, rules_per_level, min_conf) -> dict:
+    return {
         "mining_passes": result.mining_passes,
         "expansion_passes": result.expansion_passes,
         "passes": result.total_passes,
@@ -280,42 +234,89 @@ def _mine_payload(
         "rules": sum(len(rules) for rules in rules_per_level),
         "min_conf": str(min_conf),
     }
-    return {"levels": levels, "totals": totals}
 
 
-def _render_mine_text(payload: dict) -> str:
+def _level_texts(lr, rules: list[Rule], quote, template: str):
+    """Each frequent itemset of the level and each confidence, rendered once.
+
+    Every maximal set, antecedent and consequent is a frequent set of the
+    level, so it is looked up by itemset.  ``generate_rules`` shares one
+    ``Fraction`` per ratio, so confidences are keyed on identity.
+    """
+    codes = [quote(code.text) for code in lr.vocabulary]
+    names = {
+        fs.itemset: template % ", ".join([codes[i] for i in fs.itemset])
+        for fs in lr.frequent
+    }
+    ratios = {id(r.confidence): r.confidence for r in rules}
+    return names, {key: str(ratio) for key, ratio in ratios.items()}
+
+
+def _mine_json(meta: dict, result: MultiLevelResult, rules_per_level, min_conf) -> str:
+    """The report, byte for byte as ``json.dumps(report, sort_keys=True)``.
+
+    Code texts go through ``json.dumps`` once each; support fractions and
+    confidences are reduced fraction strings, digits and ``/`` only, so
+    they need no escaping.  Keys are written in sorted order.
+    """
+    levels = []
+    for lr, rules in zip(result.levels, rules_per_level):
+        names, confidences = _level_texts(lr, rules, json.dumps, "[%s]")
+        counts = {fs.support_count for fs in lr.frequent}
+        fractions = {c: str(Fraction(c, result.db.n_transactions)) for c in counts}
+        frequent = [
+            '{"fraction": "%s", "items": %s, "support": %d}'
+            % (fractions[fs.support_count], names[fs.itemset], fs.support_count)
+            for fs in lr.frequent
+        ]
+        maximal = [
+            '{"items": %s, "support": %d}' % (names[s], c)
+            for s, c in lr.pincer.mfs.items()
+        ]
+        rule_texts = [
+            '{"antecedent": %s, "confidence": "%s", "consequent": %s, "support": %d}'
+            % (names[x], confidences[id(conf)], names[y], support)
+            for x, y, support, conf, _ in rules
+        ]
+        levels.append(
+            '{"expansion_passes": %d, "frequent_itemsets": [%s], "level": %d, '
+            '"maximal_frequent_sets": [%s], "mining_passes": %d, "minsup": %d, '
+            '"rules": [%s], "vocabulary_size": %d}'
+            % (lr.expansion_passes, ", ".join(frequent), lr.level, ", ".join(maximal),
+               lr.mining_passes, lr.minsup, ", ".join(rule_texts), len(lr.vocabulary))
+        )
+    totals = _mine_totals(result, rules_per_level, min_conf)
+    return '{"levels": [%s], "meta": %s, "totals": %s}\n' % (
+        ", ".join(levels),
+        json.dumps(meta, sort_keys=True),
+        json.dumps(totals, sort_keys=True),
+    )
+
+
+def _mine_text(result: MultiLevelResult, rules_per_level, min_conf) -> str:
+    totals = _mine_totals(result, rules_per_level, min_conf)
     lines = []
-    for level in payload["levels"]:
+    for lr, rules in zip(result.levels, rules_per_level):
+        names, confidences = _level_texts(lr, rules, str, "{%s}")
         lines.append(
-            f"level {level['level']}  minsup={level['minsup']}  "
-            f"vocabulary={level['vocabulary_size']}  "
-            f"passes={level['mining_passes']}+{level['expansion_passes']}"
+            f"level {lr.level}  minsup={lr.minsup}  "
+            f"vocabulary={len(lr.vocabulary)}  "
+            f"passes={lr.mining_passes}+{lr.expansion_passes}"
         )
         lines.append("  maximal frequent sets:")
-        for row in level["maximal_frequent_sets"]:
-            lines.append(
-                f"    {{{', '.join(row['items'])}}}  support={row['support']}"
-            )
-        if not level["maximal_frequent_sets"]:
+        lines.extend(f"    {names[s]}  support={c}" for s, c in lr.pincer.mfs.items())
+        if not lr.pincer.mfs:
             lines.append("    (none)")
-        lines.append(
-            f"  frequent itemsets: {len(level['frequent_itemsets'])}"
+        lines.append(f"  frequent itemsets: {len(lr.frequent)}")
+        lines.append(f"  rules (min confidence {totals['min_conf']}):")
+        lines.extend(
+            "    %s -> %s  support=%d  confidence=%s"
+            % (names[x], names[y], support, confidences[id(conf)])
+            for x, y, support, conf, _ in rules
         )
-        lines.append(f"  rules (min confidence {payload['totals']['min_conf']}):")
-        for rule in level["rules"]:
-            lines.append(
-                "    {%s} -> {%s}  support=%d  confidence=%s"
-                % (
-                    ", ".join(rule["antecedent"]),
-                    ", ".join(rule["consequent"]),
-                    rule["support"],
-                    rule["confidence"],
-                )
-            )
-        if not level["rules"]:
+        if not rules:
             lines.append("    (none)")
         lines.append("")
-    totals = payload["totals"]
     lines.append(
         f"totals: {totals['frequent_itemsets']} frequent itemsets, "
         f"{totals['rules']} rules, "
@@ -331,8 +332,11 @@ def cmd_mine(args) -> int:
     rules_per_level = [
         generate_rules(lr.frequent, min_conf, lr.level) for lr in result.levels
     ]
-    payload = _mine_payload(result, rules_per_level, min_conf)
-    _emit(args, payload, _render_mine_text)
+    if args.format == "json":
+        text = _mine_json(_meta(args.command), result, rules_per_level, min_conf)
+    else:
+        text = _mine_text(result, rules_per_level, min_conf)
+    _write(args, text)
     return EXIT_OK
 
 
@@ -497,6 +501,10 @@ def _emit(args, payload: dict, render_text) -> None:
         text = json.dumps(report, sort_keys=True) + "\n"
     else:
         text = render_text(payload)
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -526,9 +534,11 @@ def main(argv=None) -> int:
 
 
 def app() -> None:
-    # Move import-time objects out of the collector's scans, at exit too.
-    gc.collect()
+    # One-shot process: the engine's records are acyclic, so collections
+    # reclaim nothing.  The freeze keeps start-up objects out of the
+    # collection the interpreter still runs at exit.
     gc.freeze()
+    gc.disable()
     sys.exit(main())
 
 

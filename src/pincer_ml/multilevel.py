@@ -56,6 +56,11 @@ class LevelConfig(_LevelConfigFields):
                 break
         return self
 
+    @classmethod
+    def _make(cls, iterable) -> LevelConfig:
+        # The named tuple's _make, which _replace calls, skips __new__.
+        return cls(*iterable)
+
 
 class LevelResult(NamedTuple):
     level: int

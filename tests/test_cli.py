@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import pincer_ml
 from conftest import DATA, GOLDEN
-from pincer_ml.cli import _mine_payload, main
+from pincer_ml.cli import _mine_json, _mine_text, main
 from pincer_ml.errors import MiningError
 from pincer_ml.gen import random_dataset
 from pincer_ml.multilevel import DescentPolicy, LevelConfig, mine_multilevel
@@ -185,6 +185,52 @@ def reference_payload(result, rules_per_level, min_conf):
     return {"levels": levels, "totals": totals}
 
 
+def reference_text(payload):
+    """The ``--format text`` report as rendered from the mine payload."""
+    lines = []
+    for level in payload["levels"]:
+        lines.append(
+            f"level {level['level']}  minsup={level['minsup']}  "
+            f"vocabulary={level['vocabulary_size']}  "
+            f"passes={level['mining_passes']}+{level['expansion_passes']}"
+        )
+        lines.append("  maximal frequent sets:")
+        for row in level["maximal_frequent_sets"]:
+            lines.append(
+                f"    {{{', '.join(row['items'])}}}  support={row['support']}"
+            )
+        if not level["maximal_frequent_sets"]:
+            lines.append("    (none)")
+        lines.append(
+            f"  frequent itemsets: {len(level['frequent_itemsets'])}"
+        )
+        lines.append(f"  rules (min confidence {payload['totals']['min_conf']}):")
+        for rule in level["rules"]:
+            lines.append(
+                "    {%s} -> {%s}  support=%d  confidence=%s"
+                % (
+                    ", ".join(rule["antecedent"]),
+                    ", ".join(rule["consequent"]),
+                    rule["support"],
+                    rule["confidence"],
+                )
+            )
+        if not level["rules"]:
+            lines.append("    (none)")
+        lines.append("")
+    totals = payload["totals"]
+    lines.append(
+        f"totals: {totals['frequent_itemsets']} frequent itemsets, "
+        f"{totals['rules']} rules, "
+        f"{totals['mining_passes']} mining passes "
+        f"+ {totals['expansion_passes']} expansion passes"
+    )
+    return "\n".join(lines) + "\n"
+
+
+FIXED_META = {"tool": "pincer-ml", "version": "0", "command": "mine", "generated_at": "t"}
+
+
 class TestMinePayload:
     @pytest.mark.parametrize("policy", list(DescentPolicy))
     @pytest.mark.parametrize("seed", range(30))
@@ -197,9 +243,27 @@ class TestMinePayload:
         rules_per_level = [
             generate_rules(lr.frequent, min_conf, lr.level) for lr in result.levels
         ]
-        got = _mine_payload(result, rules_per_level, min_conf)
         want = reference_payload(result, rules_per_level, min_conf)
-        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        got = _mine_json(FIXED_META, result, rules_per_level, min_conf)
+        assert got == json.dumps({"meta": FIXED_META, **want}, sort_keys=True) + "\n"
+        assert _mine_text(result, rules_per_level, min_conf) == reference_text(want)
+
+    def test_non_ascii_codes_are_escaped_as_json_dumps_escapes_them(
+        self, tmp_path, capsys
+    ):
+        tax, trx = tmp_path / "tax.csv", tmp_path / "trx.csv"
+        tax.write_text("code,name\n\u00c41,a\n\U0001d5381,b\nB1,c\n", encoding="utf-8")
+        rows = ["T1,\u00c41", "T1,\U0001d5381", "T2,\u00c41", "T2,\U0001d5381", "T2,B1"]
+        trx.write_text("tid,item\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        args = ["mine", "--taxonomy", tax, "--transactions", trx, "--minsup", "2,2"]
+        assert run(*args, "--out", tmp_path / "r.json") == 0
+        text = (tmp_path / "r.json").read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True) + "\n"
+        assert '["\\u00c41", "\\ud835\\udd381"]' in text
+        assert run(*args, "--format", "text") == 0
+        out = capsys.readouterr().out
+        assert "{\u00c41, \U0001d5381}  support=2" in out
 
 
 class TestCompare:
@@ -493,6 +557,19 @@ class TestEntryPoints:
         done = python_with_src(*argv)
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_app_runs_main_with_the_collector_off_and_start_up_frozen(self):
+        probe = (
+            "import gc, pincer_ml.cli as cli\n"
+            "def probe():\n"
+            "    print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "    return 0\n"
+            "cli.main = probe\n"
+            "cli.app()\n"
+        )
+        done = python_with_src("-c", probe)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "False True\n"
 
     def test_app_exits_1_on_a_missing_file(self, tmp_path):
         args = bookstore_args("mine")

@@ -43,6 +43,15 @@ class TestLevelConfig:
             warnings.simplefilter("error")
             LevelConfig((3, 2, 2), total_levels=3)
 
+    def test_replace_and_make_rerun_the_checks(self):
+        with pytest.raises(ConfigError):
+            LevelConfig((3, 2, 2), 3)._replace(total_levels=5)
+        with pytest.raises(InvalidMinsup):
+            LevelConfig._make(((3, 0, 2), 3))
+        assert LevelConfig((3, 2, 2), 3)._replace(descent_policy=MAXIMAL) == (
+            LevelConfig((3, 2, 2), 3, MAXIMAL)
+        )
+
     def test_policy_from_string_value(self):
         assert DescentPolicy("frequent-parents") is FP
         assert DescentPolicy("maximal-itemset-items") is MAXIMAL
