@@ -7,7 +7,7 @@ an upper border, and the full frequent collection plus rules are
 recovered from that border afterwards.
 """
 from .errors import MiningError
-from .itemsets import BorderState, Itemset, itemset
+from .itemsets import BorderState, Itemset
 from .multilevel import (
     DescentPolicy,
     LevelConfig,
@@ -20,7 +20,6 @@ from .rules import FrequentSet, Rule, expand_frequent, generate_rules
 from .taxonomy import ItemCode, Taxonomy, load_taxonomy, parse_code, read_taxonomy_csv
 from .transactions import (
     LevelMatrix,
-    PassCounter,
     TransactionDB,
     count_support,
     load_transactions,
@@ -67,7 +66,6 @@ __all__ = [
     "MlT2l1Result",
     "MultiLevelResult",
     "OracleResult",
-    "PassCounter",
     "PincerResult",
     "Rule",
     "Taxonomy",
@@ -78,7 +76,6 @@ __all__ = [
     "count_support",
     "expand_frequent",
     "generate_rules",
-    "itemset",
     "load_taxonomy",
     "load_transactions",
     "mine_multilevel",

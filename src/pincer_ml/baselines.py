@@ -14,13 +14,7 @@ from .itemsets import apriori_prune, join, to_items
 from .multilevel import LevelConfig, MultiLevelResult
 from .rules import FrequentSet
 from .taxonomy import ItemCode, generalize
-from .transactions import (
-    LevelMatrix,
-    PassCounter,
-    TransactionDB,
-    count_many,
-    project_to_level,
-)
+from .transactions import LevelMatrix, TransactionDB, count_many, project_to_level
 
 
 @dataclass(frozen=True)
@@ -38,11 +32,10 @@ class AprioriResult:
     passes: int
 
 
-def apriori(matrix: LevelMatrix, minsup: int, counter: PassCounter) -> AprioriResult:
+def apriori(matrix: LevelMatrix, minsup: int) -> AprioriResult:
     """Classic levelwise mining: count size-k candidates, pass k."""
     if minsup < 1:
         raise InvalidMinsup(f"minsup must be at least 1, got {minsup}")
-    start = counter.passes
     found: dict[int, int] = {}
     trace: list[AprioriPassStats] = []
     if matrix.n_transactions == 0:
@@ -51,7 +44,7 @@ def apriori(matrix: LevelMatrix, minsup: int, counter: PassCounter) -> AprioriRe
         candidates = {1 << i for i in range(len(matrix.vocabulary))}
     k = 1
     while candidates:
-        counts = count_many(matrix, candidates, counter)
+        counts = count_many(matrix, candidates)
         level_frequent = {s: c for s, c in counts.items() if c >= minsup}
         found.update(level_frequent)
         trace.append(
@@ -59,7 +52,7 @@ def apriori(matrix: LevelMatrix, minsup: int, counter: PassCounter) -> AprioriRe
                 k=k,
                 candidates=len(candidates),
                 frequent=len(level_frequent),
-                passes=counter.passes - start,
+                passes=k,
             )
         )
         survivors = set(level_frequent)
@@ -70,7 +63,7 @@ def apriori(matrix: LevelMatrix, minsup: int, counter: PassCounter) -> AprioriRe
     frequent = tuple(
         FrequentSet(s, c, matrix.n_transactions) for s, c in ordered
     )
-    return AprioriResult(frequent, tuple(trace), counter.passes - start)
+    return AprioriResult(frequent, tuple(trace), len(trace))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +106,8 @@ def ml_t2l1(db: TransactionDB, config: LevelConfig) -> MlT2l1Result:
                 if generalize(code, level - 1) in parent_codes
             )
         matrix = project_to_level(db, level, vocabulary_filter)
-        counter = PassCounter()
         minsup = config.minsup_per_level[level - 1]
-        result = apriori(matrix, minsup, counter)
+        result = apriori(matrix, minsup)
         levels.append(
             MlLevelResult(
                 level=level,

@@ -25,11 +25,6 @@ from typing import Collection, FrozenSet, Iterable, Iterator, NamedTuple
 Itemset = tuple[int, ...]
 
 
-def itemset(items: Iterable[int]) -> Itemset:
-    """Normalize an iterable of indices into a sorted duplicate-free tuple."""
-    return to_items(to_mask(items))
-
-
 def bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of ``mask``, lowest first."""
     while mask:

@@ -7,6 +7,7 @@ Each level gets its own support threshold.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from enum import Enum
 from typing import NamedTuple
@@ -15,7 +16,7 @@ from .errors import ConfigError, InvalidMinsup, LevelOutOfRange
 from .pincer import PincerResult, pincer_search
 from .rules import FrequentSet, expand_frequent
 from .taxonomy import ItemCode, Taxonomy, generalize
-from .transactions import PassCounter, TransactionDB, project_to_level
+from .transactions import TransactionDB, project_to_level
 
 
 class DescentPolicy(str, Enum):
@@ -29,6 +30,18 @@ class _LevelConfigFields(NamedTuple):
     minsup_per_level: tuple[int, ...]
     total_levels: int
     descent_policy: DescentPolicy = DescentPolicy.FREQUENT_PARENTS
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that makes a warning raised in
+    ``LevelConfig.__new__`` name its caller: the nearest frame outside
+    this module and the named tuple's ``_replace``, which calls ``_make``.
+    """
+    internal = {__file__, _LevelConfigFields._replace.__code__.co_filename}
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_code.co_filename in internal:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 class LevelConfig(_LevelConfigFields):
@@ -51,7 +64,7 @@ class LevelConfig(_LevelConfigFields):
                 warnings.warn(
                     "a deeper level has a higher support threshold than the "
                     "level above it; deeper items can only be rarer",
-                    stacklevel=2,
+                    stacklevel=_caller_stacklevel(),
                 )
                 break
         return self
@@ -144,11 +157,9 @@ def mine_multilevel(db: TransactionDB, config: LevelConfig) -> MultiLevelResult:
                 db.taxonomy, level, prior, config.descent_policy
             )
         matrix = project_to_level(db, level, vocabulary_filter)
-        counter = PassCounter()
         minsup = config.minsup_per_level[level - 1]
-        result = pincer_search(matrix, minsup, counter=counter)
-        mining_passes = counter.passes
-        frequent = expand_frequent(frozenset(result.mfs), matrix, counter)
+        result = pincer_search(matrix, minsup)
+        frequent = expand_frequent(frozenset(result.mfs), matrix)
         levels.append(
             LevelResult(
                 level=level,
@@ -156,8 +167,10 @@ def mine_multilevel(db: TransactionDB, config: LevelConfig) -> MultiLevelResult:
                 vocabulary=matrix.vocabulary,
                 pincer=result,
                 frequent=frequent,
-                mining_passes=mining_passes,
-                expansion_passes=counter.passes - mining_passes,
+                mining_passes=result.trace.passes,
+                # expand_frequent counts the whole family in one sweep,
+                # and makes none when the family is empty.
+                expansion_passes=1 if frequent else 0,
             )
         )
         prior = result

@@ -29,7 +29,7 @@ from .itemsets import (
     to_items,
 )
 from .taxonomy import ItemCode
-from .transactions import LevelMatrix, PassCounter, count_many
+from .transactions import LevelMatrix, count_many
 
 # Called after every pass with (k, MFCS, MFS, every itemset counted
 # infrequent so far), each a frozenset of index tuples.
@@ -65,26 +65,23 @@ class PincerResult(NamedTuple):
 def pincer_search(
     matrix: LevelMatrix,
     minsup: int,
-    counter: PassCounter | None = None,
+    *,
     observer: Observer | None = None,
 ) -> PincerResult:
     """Find all maximal frequent itemsets of ``matrix`` at ``minsup``.
 
     ``minsup`` is an absolute transaction count and must be positive.
-    ``counter`` (when given) accumulates the database passes.  An
-    ``observer`` is called after every pass ``k`` as ``observer(k, mfcs,
-    mfs, infrequent)``: the two borders and every itemset counted
-    infrequent so far, each a frozenset of index tuples.
+    Each step of the trace is one database pass.  An ``observer`` is
+    called after every pass ``k`` as ``observer(k, mfcs, mfs,
+    infrequent)``: the two borders and every itemset counted infrequent
+    so far, each a frozenset of index tuples.
     """
     if minsup < 1:
         raise InvalidMinsup(f"minsup must be at least 1, got {minsup}")
-    if counter is None:
-        counter = PassCounter()
     n_items = len(matrix.vocabulary)
     if n_items == 0 or matrix.n_transactions == 0:
         return PincerResult({}, frozenset(), PincerTrace((), 0), matrix.vocabulary)
 
-    start = counter.passes
     support: dict[int, int] = {}
     state = BorderState(frozenset({(1 << n_items) - 1}), frozenset())
     candidates: set[int] = {1 << i for i in range(n_items)}
@@ -95,7 +92,7 @@ def pincer_search(
         # No candidate was counted before: pincer_prune drops every set
         # equal to a counted border member, frequent or not.
         uncounted = candidates | {m for m in state.mfcs if m not in support}
-        support.update(count_many(matrix, uncounted, counter))
+        support.update(count_many(matrix, uncounted))
 
         # Border members are now all counted: frequent ones are maximal,
         # since the border is an antichain that no member of mfs covers.
@@ -114,7 +111,7 @@ def pincer_search(
                 infrequent=len(infrequent_k),
                 mfcs_size=len(state.mfcs),
                 mfs_size=len(state.mfs),
-                passes=counter.passes - start,
+                passes=k,
             )
         )
         if observer is not None:
@@ -135,5 +132,5 @@ def pincer_search(
     results = ((to_items(m), support[m]) for m in state.mfs | state.mfcs)
     ordered = dict(sorted(results, key=lambda kv: (len(kv[0]), kv[0])))
     frequent_items = frozenset(i for member in ordered for i in member)
-    trace = PincerTrace(tuple(steps), counter.passes - start)
+    trace = PincerTrace(tuple(steps), len(steps))
     return PincerResult(ordered, frequent_items, trace, matrix.vocabulary)

@@ -12,7 +12,7 @@ from typing import Collection, Iterable, NamedTuple
 
 from .errors import InvalidConfidence, ItemsetTooLarge, MissingSubsetSupport
 from .itemsets import Itemset, to_items, to_mask
-from .transactions import LevelMatrix, PassCounter, count_many
+from .transactions import LevelMatrix, count_many
 
 # Subsets, the sum of 2**|m|, that expanding one maximal family may
 # enumerate: a 20-item set has 1,048,576, a 21-item set twice as many.
@@ -45,7 +45,7 @@ class Rule(NamedTuple):
 
 
 def expand_frequent(
-    mfs: Collection[Itemset], matrix: LevelMatrix, counter: PassCounter
+    mfs: Collection[Itemset], matrix: LevelMatrix
 ) -> tuple[FrequentSet, ...]:
     """All nonempty subsets of the maximal sets, counted in one pass.
 
@@ -66,7 +66,7 @@ def expand_frequent(
             sub = (sub - 1) & mask
     if not subsets:
         return ()
-    counts = count_many(matrix, subsets, counter)
+    counts = count_many(matrix, subsets)
     found = ((to_items(s), c) for s, c in counts.items())
     ordered = sorted(found, key=lambda kv: (len(kv[0]), kv[0]))
     return tuple(FrequentSet(s, c, matrix.n_transactions) for s, c in ordered)

@@ -17,15 +17,6 @@ from .taxonomy import ItemCode, Taxonomy, generalize
 from .taxonomy import _csv_records
 
 
-class PassCounter:
-    """Counts full counting sweeps over a transaction matrix."""
-
-    __slots__ = ("passes",)
-
-    def __init__(self, passes: int = 0) -> None:
-        self.passes = passes
-
-
 class TransactionDB:
     """Raw transactions as leaf indices: one (tid, row) pair per basket.
 
@@ -207,14 +198,11 @@ def _support(matrix: LevelMatrix, mask: int) -> int:
     return acc.bit_count()
 
 
-def count_many(
-    matrix: LevelMatrix, masks: Collection[int], counter: PassCounter
-) -> dict[int, int]:
+def count_many(matrix: LevelMatrix, masks: Collection[int]) -> dict[int, int]:
     """Count a whole collection of itemset masks in one sweep.
 
     Each call is exactly one database pass, whatever the collection
     size; duplicate masks collapse to a single map entry.  Unlike
     :func:`count_support`, indices are not checked against the vocabulary.
     """
-    counter.passes += 1
     return {m: _support(matrix, m) for m in set(masks)}

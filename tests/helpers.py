@@ -18,3 +18,24 @@ def mfs_by_text(mfs, vocabulary):
 
 def frequent_by_text(frequent, vocabulary):
     return {names(vocabulary, fs.itemset): fs.support_count for fs in frequent}
+
+
+def sweeps(monkeypatch, *modules):
+    """Wrap each module's ``count_many``, one database pass per call.
+
+    Returns a live list with one entry per call, in call order: the
+    number of distinct masks that sweep counted.
+    """
+    swept = []
+
+    def wrap(count_many):
+        def counting(matrix, masks):
+            counts = count_many(matrix, masks)
+            swept.append(len(counts))
+            return counts
+
+        return counting
+
+    for module in modules:
+        monkeypatch.setattr(module, "count_many", wrap(module.count_many))
+    return swept

@@ -11,7 +11,8 @@ import time
 from fractions import Fraction
 
 from conftest import DATA
-from helpers import frequent_by_text, mfs_by_text, names
+from helpers import frequent_by_text, mfs_by_text, names, sweeps
+from pincer_ml import baselines, pincer
 from pincer_ml.baselines import apriori, compare, ml_t2l1
 from pincer_ml.cli import main
 from pincer_ml.gen import random_matrix
@@ -19,7 +20,7 @@ from pincer_ml.multilevel import DescentPolicy, LevelConfig, mine_multilevel
 from pincer_ml.oracle import brute_force
 from pincer_ml.pincer import pincer_search
 from pincer_ml.rules import expand_frequent, generate_rules
-from pincer_ml.transactions import PassCounter, count_support
+from pincer_ml.transactions import count_support
 
 FP = DescentPolicy.FREQUENT_PARENTS
 MAXIMAL = DescentPolicy.MAXIMAL_ITEMSET_ITEMS
@@ -79,18 +80,21 @@ def test_criterion_4_level2_supports(bookstore):
     print("PASS criterion 4: level-2 frequent-parents supports match")
 
 
-def test_criterion_5_pass_count_advantage(bookstore, level1):
-    pincer_counter = PassCounter()
-    pincer_search(level1, 3, pincer_counter)
-    ladder_counter = PassCounter()
-    apriori(level1, 3, ladder_counter)
-    assert pincer_counter.passes == 3
-    assert ladder_counter.passes == 4
+def test_criterion_5_pass_count_advantage(bookstore, level1, monkeypatch):
+    search_sweeps = sweeps(monkeypatch, pincer)
+    ladder_sweeps = sweeps(monkeypatch, baselines)
+    border = pincer_search(level1, 3)
+    ladder = apriori(level1, 3)
+    assert (len(search_sweeps), len(ladder_sweeps)) == (3, 4)
+    assert (border.trace.passes, ladder.passes) == (3, 4)
 
+    search_sweeps.clear()
+    ladder_sweeps.clear()
     config = LevelConfig((3, 2, 2), 3, FP)
     report = compare(mine_multilevel(bookstore, config), ml_t2l1(bookstore, config))
     assert report.pincer_passes < report.baseline_passes
     assert (report.pincer_passes, report.baseline_passes) == (9, 11)
+    assert (len(search_sweeps), len(ladder_sweeps)) == (9, 11)
     print("PASS criterion 5: 3 vs 4 passes at level 1; 9 < 11 across levels")
 
 
@@ -109,12 +113,12 @@ def test_criterion_6_oracle_equivalence_200_seeds():
 
         border = pincer_search(matrix, minsup)
         assert frozenset(border.mfs) == oracle.maximal, f"seed {seed}"
-        expanded = expand_frequent(frozenset(border.mfs), matrix, PassCounter())
+        expanded = expand_frequent(frozenset(border.mfs), matrix)
         assert {
             fs.itemset: fs.support_count for fs in expanded
         } == oracle.frequent, f"seed {seed}"
 
-        ladder = apriori(matrix, minsup, PassCounter())
+        ladder = apriori(matrix, minsup)
         assert {
             fs.itemset: fs.support_count for fs in ladder.frequent
         } == oracle.frequent, f"seed {seed}"
@@ -151,7 +155,7 @@ def test_criterion_7_border_invariants(bookstore):
 
 def test_criterion_8_rule_correctness(level1):
     result = pincer_search(level1, 3)
-    frequent = expand_frequent(frozenset(result.mfs), level1, PassCounter())
+    frequent = expand_frequent(frozenset(result.mfs), level1)
     rules = generate_rules(frequent, Fraction(1, 2), level=1)
     assert rules
     for r in rules:

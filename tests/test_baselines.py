@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import frequent_by_text
+from helpers import frequent_by_text, sweeps
+from pincer_ml import baselines
 from pincer_ml.baselines import apriori, compare, ml_t2l1
 from pincer_ml.errors import InputMismatch, InvalidMinsup
 from pincer_ml.gen import random_dataset, random_matrix
@@ -10,47 +11,48 @@ from pincer_ml.multilevel import DescentPolicy, LevelConfig, mine_multilevel
 from pincer_ml.oracle import brute_force
 from pincer_ml.pincer import pincer_search
 from pincer_ml.rules import expand_frequent
-from pincer_ml.transactions import PassCounter
 
 FP = DescentPolicy.FREQUENT_PARENTS
 
 
 class TestApriori:
-    def test_bookstore_level1(self, level1):
-        counter = PassCounter()
-        result = apriori(level1, 3, counter)
-        assert counter.passes == 4
+    def test_bookstore_level1(self, level1, monkeypatch):
+        swept = sweeps(monkeypatch, baselines)
+        result = apriori(level1, 3)
+        assert swept == [9, 21, 4, 1]
         assert result.passes == 4
         assert [s.candidates for s in result.trace] == [9, 21, 4, 1]
         assert [s.frequent for s in result.trace] == [7, 9, 4, 1]
         assert len(result.frequent) == 21
 
     def test_largest_frequent_set(self, level1):
-        result = apriori(level1, 3, PassCounter())
+        result = apriori(level1, 3)
         supports = frequent_by_text(result.frequent, level1.vocabulary)
         assert supports[("C**", "D**", "E**", "G**")] == 4
         widest = max(len(s) for s in supports)
         assert widest == 4
 
-    def test_unreachable_threshold_is_one_pass(self, level1):
-        counter = PassCounter()
-        result = apriori(level1, 16, counter)
-        assert counter.passes == 1
+    def test_unreachable_threshold_is_one_pass(self, level1, monkeypatch):
+        swept = sweeps(monkeypatch, baselines)
+        result = apriori(level1, 16)
+        assert len(swept) == 1
+        assert result.passes == 1
         assert result.frequent == ()
 
-    def test_empty_matrix_is_zero_passes(self):
+    def test_empty_matrix_is_zero_passes(self, monkeypatch):
         matrix = random_matrix(random.Random(0), n_items=3, n_transactions=0)
-        counter = PassCounter()
-        result = apriori(matrix, 1, counter)
-        assert counter.passes == 0
+        swept = sweeps(monkeypatch, baselines)
+        result = apriori(matrix, 1)
+        assert swept == []
+        assert result.passes == 0
         assert result.frequent == ()
 
     def test_invalid_minsup(self, level1):
         with pytest.raises(InvalidMinsup):
-            apriori(level1, 0, PassCounter())
+            apriori(level1, 0)
 
     def test_matches_oracle(self, level1):
-        result = apriori(level1, 3, PassCounter())
+        result = apriori(level1, 3)
         oracle = brute_force(level1, 3)
         assert {
             fs.itemset: fs.support_count for fs in result.frequent
@@ -149,9 +151,9 @@ def test_apriori_and_pincer_agree_on_random_matrices(seed):
         density=rng.uniform(0.2, 0.8),
     )
     minsup = rng.randint(1, 5)
-    ladder = apriori(matrix, minsup, PassCounter())
+    ladder = apriori(matrix, minsup)
     border = pincer_search(matrix, minsup)
-    expanded = expand_frequent(frozenset(border.mfs), matrix, PassCounter())
+    expanded = expand_frequent(frozenset(border.mfs), matrix)
     assert {fs.itemset: fs.support_count for fs in ladder.frequent} == {
         fs.itemset: fs.support_count for fs in expanded
     }

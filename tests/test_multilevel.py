@@ -44,6 +44,14 @@ class TestLevelConfig:
             LevelConfig((3, 2, 2), total_levels=3)
 
     def test_replace_and_make_rerun_the_checks(self):
+        for build in (
+            lambda: LevelConfig((2, 5, 2), 3),
+            lambda: LevelConfig._make(((2, 5, 2), 3)),
+            lambda: LevelConfig((3, 2, 2), 3)._replace(minsup_per_level=(2, 5, 2)),
+        ):
+            with pytest.warns(UserWarning) as record:
+                build()
+            assert record[0].filename == __file__
         with pytest.raises(ConfigError):
             LevelConfig((3, 2, 2), 3)._replace(total_levels=5)
         with pytest.raises(InvalidMinsup):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import idx, mfs_by_text
+from helpers import idx, mfs_by_text, sweeps
 from pincer_ml import pincer
 from pincer_ml.baselines import apriori
 from pincer_ml.errors import InvalidMinsup
@@ -11,11 +11,7 @@ from pincer_ml.itemsets import to_items, to_mask
 from pincer_ml.oracle import brute_force
 from pincer_ml.pincer import pincer_search
 from pincer_ml.taxonomy import load_taxonomy
-from pincer_ml.transactions import (
-    PassCounter,
-    load_transactions,
-    project_to_level,
-)
+from pincer_ml.transactions import load_transactions, project_to_level
 
 LEVEL1_MFS = {
     ("B**", "C**"): 3,
@@ -30,10 +26,10 @@ class TestBookstoreLevel1:
         result = pincer_search(level1, 3)
         assert mfs_by_text(result.mfs, level1.vocabulary) == LEVEL1_MFS
 
-    def test_three_passes(self, level1):
-        counter = PassCounter()
-        result = pincer_search(level1, 3, counter)
-        assert counter.passes == 3
+    def test_three_passes(self, level1, monkeypatch):
+        swept = sweeps(monkeypatch, pincer)
+        result = pincer_search(level1, 3)
+        assert len(swept) == 3
         assert result.trace.passes == 3
 
     def test_candidates_per_pass(self, level1):
@@ -52,20 +48,15 @@ class TestBookstoreLevel1:
         keys = list(result.mfs)
         assert keys == sorted(keys, key=lambda s: (len(s), s))
 
-    def test_counter_accumulates(self, level1):
-        counter = PassCounter()
-        pincer_search(level1, 3, counter)
-        pincer_search(level1, 3, counter)
-        assert counter.passes == 6
-
 
 class TestEdges:
-    def test_unreachable_threshold_takes_one_pass(self, level1):
-        counter = PassCounter()
-        result = pincer_search(level1, 16, counter)
+    def test_unreachable_threshold_takes_one_pass(self, level1, monkeypatch):
+        swept = sweeps(monkeypatch, pincer)
+        result = pincer_search(level1, 16)
         assert result.mfs == {}
         assert result.frequent_items == frozenset()
-        assert counter.passes == 1
+        assert len(swept) == 1
+        assert result.trace.passes == 1
 
     def test_minsup_one_returns_maximal_baskets(self, level1):
         result = pincer_search(level1, 1)
@@ -78,22 +69,23 @@ class TestEdges:
         with pytest.raises(InvalidMinsup):
             pincer_search(level1, -3)
 
-    def test_empty_vocabulary(self, bookstore):
+    def test_empty_vocabulary(self, bookstore, monkeypatch):
         matrix = project_to_level(bookstore, 2, frozenset())
-        counter = PassCounter()
-        result = pincer_search(matrix, 1, counter)
+        swept = sweeps(monkeypatch, pincer)
+        result = pincer_search(matrix, 1)
         assert result.mfs == {}
-        assert counter.passes == 0
-        assert result.trace.steps == ()
+        assert swept == []
+        assert result.trace == ((), 0)
 
-    def test_no_transactions(self):
+    def test_no_transactions(self, monkeypatch):
         tax = load_taxonomy([("A11", "a"), ("B11", "b")])
         db = load_transactions([], tax)
         matrix = project_to_level(db, 1)
-        counter = PassCounter()
-        result = pincer_search(matrix, 1, counter)
+        swept = sweeps(monkeypatch, pincer)
+        result = pincer_search(matrix, 1)
         assert result.mfs == {}
-        assert counter.passes == 0
+        assert swept == []
+        assert result.trace.passes == 0
 
     def test_single_transaction(self):
         tax = load_taxonomy([("A11", "a"), ("B11", "b")])
@@ -108,8 +100,8 @@ def record_infrequent(monkeypatch, count_many, minsup):
     set of index tuples those passes counted below ``minsup``."""
     counted = set()
 
-    def recording(matrix, masks, counter):
-        counts = count_many(matrix, masks, counter)
+    def recording(matrix, masks):
+        counts = count_many(matrix, masks)
         counted.update(to_items(m) for m, c in counts.items() if c < minsup)
         return counts
 
@@ -225,7 +217,7 @@ class TestWideBorders:
 
         frequent = {
             to_mask(fs.itemset): fs.support_count
-            for fs in apriori(matrix, minsup, PassCounter()).frequent
+            for fs in apriori(matrix, minsup).frequent
         }
         maximal = {
             to_items(m): support

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import idx, names
+from helpers import idx, names, sweeps
 from pincer_ml import rules as rules_module
 from pincer_ml.errors import (
     InvalidConfidence,
@@ -14,13 +14,12 @@ from pincer_ml.errors import (
 from pincer_ml.gen import random_matrix
 from pincer_ml.pincer import pincer_search
 from pincer_ml.rules import FrequentSet, Rule, expand_frequent, generate_rules
-from pincer_ml.transactions import PassCounter
 
 
 @pytest.fixture(scope="module")
 def level1_frequent(level1):
     result = pincer_search(level1, 3)
-    return expand_frequent(frozenset(result.mfs), level1, PassCounter())
+    return expand_frequent(frozenset(result.mfs), level1)
 
 
 class TestExpand:
@@ -41,50 +40,50 @@ class TestExpand:
         assert got[idx(v, "C**", "D**", "E**", "G**")] == 4
         assert got[idx(v, "B**", "C**")] == 3
 
-    def test_single_extra_pass(self, level1):
+    def test_single_extra_pass(self, level1, monkeypatch):
         result = pincer_search(level1, 3)
-        counter = PassCounter()
-        expand_frequent(frozenset(result.mfs), level1, counter)
-        assert counter.passes == 1
+        swept = sweeps(monkeypatch, rules_module)
+        expand_frequent(frozenset(result.mfs), level1)
+        assert swept == [21]
 
-    def test_empty_border_costs_nothing(self, level1):
-        counter = PassCounter()
-        assert expand_frequent(frozenset(), level1, counter) == ()
-        assert counter.passes == 0
+    def test_empty_border_costs_nothing(self, level1, monkeypatch):
+        swept = sweeps(monkeypatch, rules_module)
+        assert expand_frequent(frozenset(), level1) == ()
+        assert swept == []
 
-    def test_singleton_border(self, level1):
-        counter = PassCounter()
-        got = expand_frequent({(2,)}, level1, counter)
+    def test_singleton_border(self, level1, monkeypatch):
+        swept = sweeps(monkeypatch, rules_module)
+        got = expand_frequent({(2,)}, level1)
         assert [(fs.itemset, fs.support_count) for fs in got] == [((2,), 8)]
-        assert counter.passes == 1
+        assert swept == [1]
 
     def test_output_sorted_by_size_then_items(self, level1_frequent):
         keys = [fs.itemset for fs in level1_frequent]
         assert keys == sorted(keys, key=lambda s: (len(s), s))
 
-    def test_refuses_gigantic_members(self):
+    def test_refuses_gigantic_members(self, monkeypatch):
         rng = random.Random(0)
         matrix = random_matrix(rng, n_items=26, n_transactions=4)
-        counter = PassCounter()
+        swept = sweeps(monkeypatch, rules_module)
         with pytest.raises(ItemsetTooLarge):
-            expand_frequent({tuple(range(25))}, matrix, counter)
-        assert counter.passes == 0
+            expand_frequent({tuple(range(25))}, matrix)
+        assert swept == []
 
-    def test_refuses_21_items_before_enumerating(self):
+    def test_refuses_21_items_before_enumerating(self, monkeypatch):
         # 2**21 subsets is twice the limit; nothing is enumerated or counted.
         matrix = random_matrix(random.Random(0), n_items=21, n_transactions=4)
-        counter = PassCounter()
+        swept = sweeps(monkeypatch, rules_module)
         with pytest.raises(ItemsetTooLarge, match=r"2097152 subsets.* 1048576$"):
-            expand_frequent({tuple(range(21))}, matrix, counter)
-        assert counter.passes == 0
+            expand_frequent({tuple(range(21))}, matrix)
+        assert swept == []
 
-    def test_limit_sums_over_the_family(self):
+    def test_limit_sums_over_the_family(self, monkeypatch):
         # Two 20-item sets: each alone is within the limit, together not.
         matrix = random_matrix(random.Random(0), n_items=21, n_transactions=4)
-        counter = PassCounter()
+        swept = sweeps(monkeypatch, rules_module)
         with pytest.raises(ItemsetTooLarge, match=r"2097152 subsets"):
-            expand_frequent({tuple(range(20)), tuple(range(1, 21))}, matrix, counter)
-        assert counter.passes == 0
+            expand_frequent({tuple(range(20)), tuple(range(1, 21))}, matrix)
+        assert swept == []
 
     def test_support_fraction(self):
         fs = FrequentSet((0, 1), 4, 15)
@@ -264,7 +263,7 @@ class TestRulesAgainstReference:
         for _ in range(10):
             matrix = random_matrix(rng, 8, 40, density=0.5)
             result = pincer_search(matrix, 8)
-            frequent = expand_frequent(frozenset(result.mfs), matrix, PassCounter())
+            frequent = expand_frequent(frozenset(result.mfs), matrix)
             for min_conf in (Fraction(3, 4), 0.6):
                 got = generate_rules(frequent, min_conf, level=1)
                 assert got == reference_rules(frequent, min_conf, level=1)
@@ -311,7 +310,7 @@ class TestRuleWork:
         for _ in range(10):
             matrix = random_matrix(rng, 8, 40, density=0.5)
             result = pincer_search(matrix, 8)
-            frequent = expand_frequent(frozenset(result.mfs), matrix, PassCounter())
+            frequent = expand_frequent(frozenset(result.mfs), matrix)
             calls.clear()
             got = generate_rules(frequent, Fraction(1, 2), level=1)
             assert got == reference_rules(frequent, Fraction(1, 2), level=1)

@@ -6,7 +6,8 @@ import tracemalloc
 import pytest
 
 import pincer_ml.taxonomy
-from helpers import idx
+from helpers import idx, sweeps
+from pincer_ml import transactions
 from pincer_ml.errors import (
     BadLength,
     ConfigError,
@@ -18,8 +19,6 @@ from pincer_ml.itemsets import to_mask
 from pincer_ml.gen import random_dataset, random_matrix, transaction_csv_rows
 from pincer_ml.taxonomy import _csv_records, generalize, load_taxonomy, parse_code
 from pincer_ml.transactions import (
-    PassCounter,
-    count_many,
     count_support,
     load_transactions,
     project_to_level,
@@ -347,21 +346,21 @@ class TestCounting:
         with pytest.raises(IndexOutOfRange):
             count_support(level1, (-1,))
 
-    def test_count_many_is_one_pass(self, level1):
-        counter = PassCounter()
+    def test_count_many_is_one_pass(self, level1, monkeypatch):
+        swept = sweeps(monkeypatch, transactions)
         a, b, ab = to_mask((0,)), to_mask((1,)), to_mask((0, 1))
-        counts = count_many(level1, [a, b, ab], counter)
-        assert counter.passes == 1
+        counts = transactions.count_many(level1, [a, b, ab])
+        assert swept == [3]
         assert counts[a] == 2 and counts[b] == 5
 
-    def test_count_many_dedupes(self, level1):
-        counter = PassCounter()
+    def test_count_many_dedupes(self, level1, monkeypatch):
+        swept = sweeps(monkeypatch, transactions)
         c = to_mask((2,))
-        counts = count_many(level1, [c, c], counter)
+        counts = transactions.count_many(level1, [c, c])
         assert counts == {c: 8}
-        assert counter.passes == 1
+        assert swept == [1]
 
-    def test_empty_batch_still_counts_a_pass(self, level1):
-        counter = PassCounter()
-        assert count_many(level1, [], counter) == {}
-        assert counter.passes == 1
+    def test_empty_batch_still_counts_a_pass(self, level1, monkeypatch):
+        swept = sweeps(monkeypatch, transactions)
+        assert transactions.count_many(level1, []) == {}
+        assert swept == [0]
