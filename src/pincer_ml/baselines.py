@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import InputMismatch, InvalidMinsup
 from .itemsets import apriori_prune, join, to_items
-from .multilevel import LevelConfig, MultiLevelResult
+from .multilevel import LevelConfig, MultiLevelResult, check_config
 from .rules import FrequentSet
 from .taxonomy import ItemCode, generalize
 from .transactions import LevelMatrix, TransactionDB, count_many, project_to_level
@@ -94,6 +94,7 @@ def ml_t2l1(db: TransactionDB, config: LevelConfig) -> MlT2l1Result:
     items found frequent one level up, then mines that vocabulary from
     scratch with the levelwise ladder.
     """
+    check_config(config, db.taxonomy)
     levels: list[MlLevelResult] = []
     parent_codes: set[ItemCode] | None = None
     for level in range(1, config.total_levels + 1):

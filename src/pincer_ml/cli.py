@@ -453,8 +453,6 @@ def cmd_gen(args) -> int:
 
     if args.rows < 0:
         raise ConfigError(f"--rows must be non-negative, got {args.rows}")
-    if args.levels < 1:
-        raise ConfigError(f"--levels must be positive, got {args.levels}")
     seed = args.seed
     if seed is None:
         text = os.environ.get(SEED_ENV, "0")

@@ -33,6 +33,8 @@ def random_taxonomy(
         raise ConfigError(f"n_roots must be within 1..26, got {n_roots}")
     if not 1 <= max_children <= 9:
         raise ConfigError(f"max_children must be within 1..9, got {max_children}")
+    if total_levels < 1:
+        raise ConfigError(f"total_levels must be at least 1, got {total_levels}")
     prefixes = list(_LETTERS[:n_roots])
     for _ in range(1, total_levels):
         next_prefixes = []

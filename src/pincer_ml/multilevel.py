@@ -7,7 +7,6 @@ Each level gets its own support threshold.
 """
 from __future__ import annotations
 
-import sys
 import warnings
 from enum import Enum
 from typing import NamedTuple
@@ -26,53 +25,34 @@ class DescentPolicy(str, Enum):
     MAXIMAL_ITEMSET_ITEMS = "maximal-itemset-items"
 
 
-class _LevelConfigFields(NamedTuple):
+class LevelConfig(NamedTuple):
+    """Per-level thresholds and the descent policy for a full run.
+
+    The miners check it against their taxonomy before mining
+    (``check_config``).
+    """
+
     minsup_per_level: tuple[int, ...]
     total_levels: int
     descent_policy: DescentPolicy = DescentPolicy.FREQUENT_PARENTS
 
 
-def _caller_stacklevel() -> int:
-    """The ``stacklevel`` that makes a warning raised in
-    ``LevelConfig.__new__`` name its caller: the nearest frame outside
-    this module and the named tuple's ``_replace``, which calls ``_make``.
-    """
-    internal = {__file__, _LevelConfigFields._replace.__code__.co_filename}
-    level, frame = 2, sys._getframe(2)
-    while frame is not None and frame.f_code.co_filename in internal:
-        level, frame = level + 1, frame.f_back
-    return level
-
-
-class LevelConfig(_LevelConfigFields):
-    """Per-level thresholds and the descent policy for a full run."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> LevelConfig:
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.minsup_per_level) != self.total_levels:
-            raise ConfigError(
-                f"{len(self.minsup_per_level)} thresholds given for "
-                f"{self.total_levels} levels"
-            )
-        for value in self.minsup_per_level:
-            if value < 1:
-                raise InvalidMinsup(f"minsup must be at least 1, got {value}")
-        for upper, lower in zip(self.minsup_per_level, self.minsup_per_level[1:]):
-            if lower > upper:
-                warnings.warn(
-                    "a deeper level has a higher support threshold than the "
-                    "level above it; deeper items can only be rarer",
-                    stacklevel=_caller_stacklevel(),
-                )
-                break
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> LevelConfig:
-        # The named tuple's _make, which _replace calls, skips __new__.
-        return cls(*iterable)
+def check_config(config: LevelConfig, taxonomy: Taxonomy) -> None:
+    """Refuse a config that does not fit ``taxonomy``: one threshold per
+    level of the hierarchy, each at least 1."""
+    if config.total_levels != taxonomy.total_levels:
+        raise ConfigError(
+            f"config covers {config.total_levels} levels but the taxonomy "
+            f"has {taxonomy.total_levels}"
+        )
+    if len(config.minsup_per_level) != config.total_levels:
+        raise ConfigError(
+            f"{len(config.minsup_per_level)} thresholds given for "
+            f"{config.total_levels} levels"
+        )
+    for value in config.minsup_per_level:
+        if value < 1:
+            raise InvalidMinsup(f"minsup must be at least 1, got {value}")
 
 
 class LevelResult(NamedTuple):
@@ -141,11 +121,15 @@ def mine_multilevel(db: TransactionDB, config: LevelConfig) -> MultiLevelResult:
 
     Levels whose vocabulary comes up empty (nothing survived descent)
     still appear in the result, with empty findings and zero passes.
+    A deeper threshold above a shallower one is allowed, with a warning.
     """
-    if config.total_levels != db.taxonomy.total_levels:
-        raise ConfigError(
-            f"config covers {config.total_levels} levels but the taxonomy "
-            f"has {db.taxonomy.total_levels}"
+    check_config(config, db.taxonomy)
+    thresholds = config.minsup_per_level
+    if any(lower > upper for upper, lower in zip(thresholds, thresholds[1:])):
+        warnings.warn(
+            "a deeper level has a higher support threshold than the "
+            "level above it; deeper items can only be rarer",
+            stacklevel=2,
         )
     levels: list[LevelResult] = []
     prior: PincerResult | None = None

@@ -295,6 +295,20 @@ class TestCompare:
         assert code == 0
         assert "results match" in capsys.readouterr().out
 
+    def test_rising_thresholds_warn_once_at_the_caller(self):
+        args = bookstore_args("compare")
+        args[-1] = "2,3,2"
+        done = python_with_src("-c", CONSOLE_SCRIPT, *args)
+        assert done.returncode == 0
+        lines = done.stderr.splitlines()
+        assert [line for line in lines if "UserWarning" in line] == lines[:1]
+        assert "cli.py" in lines[0]
+        assert "a deeper level has a higher support threshold" in lines[0]
+
+    def test_falling_thresholds_are_silent(self):
+        done = python_with_src("-c", CONSOLE_SCRIPT, *bookstore_args("compare"))
+        assert (done.returncode, done.stderr) == (0, "")
+
 
 class TestOracleCheck:
     def test_bookstore_passes(self, capsys):
@@ -409,6 +423,25 @@ class TestGen:
         )
         assert code == 2
         assert "max_items must be at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--levels", "0", "total_levels must be at least 1, got 0"),
+            ("--rows", "-1", "--rows must be non-negative, got -1"),
+        ],
+        ids=["levels", "rows"],
+    )
+    def test_out_of_range_size_exits_2(self, tmp_path, capsys, flag, value, message):
+        code = run(
+            "gen",
+            "--taxonomy", str(tmp_path / "t.csv"),
+            "--transactions", str(tmp_path / "x.csv"),
+            flag, value,
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_generated_data_mines_cleanly(self, tmp_path):
         tax, trx = tmp_path / "t.csv", tmp_path / "x.csv"

@@ -1,9 +1,12 @@
+import inspect
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from helpers import frequent_by_text, mfs_by_text
+from pincer_ml import baselines, multilevel
 from pincer_ml.baselines import ml_t2l1
 from pincer_ml.errors import ConfigError, InvalidMinsup, LevelOutOfRange
 from pincer_ml.gen import random_dataset
@@ -22,43 +25,72 @@ FP = DescentPolicy.FREQUENT_PARENTS
 MAXIMAL = DescentPolicy.MAXIMAL_ITEMSET_ITEMS
 
 
+def built_three_ways(minsup_per_level, total_levels):
+    """The same config built directly, by ``_make`` and by ``_replace``."""
+    return [
+        LevelConfig(minsup_per_level, total_levels),
+        LevelConfig._make((minsup_per_level, total_levels, FP)),
+        LevelConfig((3, 2, 2), 3)._replace(
+            minsup_per_level=minsup_per_level, total_levels=total_levels
+        ),
+    ]
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """A live list of the levels either miner has projected so far."""
+    calls = []
+    for module in (multilevel, baselines):
+        def spy(db, level, vocabulary_filter=None, _real=module.project_to_level):
+            calls.append(level)
+            return _real(db, level, vocabulary_filter)
+
+        monkeypatch.setattr(module, "project_to_level", spy)
+    return calls
+
+
+def assert_refused(db, projections, fields, error, message):
+    """Both miners refuse the config, however it was built, before
+    projecting a single level."""
+    for miner in (mine_multilevel, ml_t2l1):
+        for config in built_three_ways(*fields):
+            with pytest.raises(error, match=message):
+                miner(db, config)
+    assert projections == []
+
+
 class TestLevelConfig:
-    def test_threshold_count_must_match(self):
-        with pytest.raises(ConfigError):
-            LevelConfig((3, 2), total_levels=3)
+    """A config is a plain record; each miner checks it before mining."""
 
-    def test_thresholds_must_be_positive(self):
-        with pytest.raises(InvalidMinsup):
-            LevelConfig((3, 0, 2), total_levels=3)
+    def test_threshold_count_must_match(self, bookstore, projections):
+        message = "2 thresholds given for 3 levels"
+        assert_refused(bookstore, projections, ((3, 2), 3), ConfigError, message)
 
-    def test_warns_on_rising_threshold(self):
-        with pytest.warns(UserWarning) as caught:
-            LevelConfig((2, 5, 2), total_levels=3)
-        assert [w.filename for w in caught] == [__file__]
+    def test_thresholds_must_be_positive(self, bookstore, projections):
+        message = "minsup must be at least 1, got 0"
+        assert_refused(bookstore, projections, ((3, 0, 2), 3), InvalidMinsup, message)
 
-    def test_monotone_is_silent(self):
-        import warnings
+    def test_warns_on_rising_threshold(self, bookstore):
+        for config in built_three_ways((2, 5, 2), 3):
+            with pytest.warns(UserWarning, match="deeper level") as caught:
+                mine_multilevel(bookstore, config)
+            assert [w.filename for w in caught] == [__file__]
+            # The baseline mines the same config without a word.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ml_t2l1(bookstore, config)
 
+    def test_monotone_is_silent(self, bookstore):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            LevelConfig((3, 2, 2), total_levels=3)
+            mine_multilevel(bookstore, LevelConfig((3, 2, 2), 3))
 
-    def test_replace_and_make_rerun_the_checks(self):
-        for build in (
-            lambda: LevelConfig((2, 5, 2), 3),
-            lambda: LevelConfig._make(((2, 5, 2), 3)),
-            lambda: LevelConfig((3, 2, 2), 3)._replace(minsup_per_level=(2, 5, 2)),
-        ):
-            with pytest.warns(UserWarning) as record:
-                build()
-            assert record[0].filename == __file__
-        with pytest.raises(ConfigError):
-            LevelConfig((3, 2, 2), 3)._replace(total_levels=5)
-        with pytest.raises(InvalidMinsup):
-            LevelConfig._make(((3, 0, 2), 3))
-        assert LevelConfig((3, 2, 2), 3)._replace(descent_policy=MAXIMAL) == (
-            LevelConfig((3, 2, 2), 3, MAXIMAL)
-        )
+    def test_signature_lists_the_fields(self):
+        parameters = inspect.signature(LevelConfig).parameters
+        assert list(parameters) == [
+            "minsup_per_level", "total_levels", "descent_policy",
+        ]
+        assert parameters["descent_policy"].default is FP
 
     def test_policy_from_string_value(self):
         assert DescentPolicy("frequent-parents") is FP
@@ -204,9 +236,9 @@ class TestBookstoreRun:
         assert all(lr.frequent == () for lr in result.levels)
         assert [len(lr.vocabulary) for lr in result.levels] == [9, 0, 0]
 
-    def test_total_levels_must_match_taxonomy(self, bookstore):
-        with pytest.raises(ConfigError):
-            mine_multilevel(bookstore, LevelConfig((3, 2), 2, FP))
+    def test_total_levels_must_match_taxonomy(self, bookstore, projections):
+        message = "config covers 2 levels but the taxonomy has 3"
+        assert_refused(bookstore, projections, ((3, 2), 2), ConfigError, message)
 
     def test_maximal_vocabulary_is_subset_of_frequent_parents(self, bookstore):
         narrow = mine_multilevel(bookstore, LevelConfig((3, 2, 2), 3, MAXIMAL))

@@ -1,4 +1,5 @@
 import itertools
+import random
 import string
 import sys
 
@@ -8,6 +9,7 @@ from pincer_ml.errors import (
     BadHeader,
     BadLength,
     BadSymbol,
+    ConfigError,
     DanglingCode,
     DuplicateCode,
     EmptyCode,
@@ -15,7 +17,7 @@ from pincer_ml.errors import (
     LevelOutOfRange,
     WildcardNotSuffix,
 )
-from pincer_ml.gen import random_dataset
+from pincer_ml.gen import random_dataset, random_taxonomy
 from pincer_ml.taxonomy import (
     ItemCode,
     generalize,
@@ -222,6 +224,13 @@ def test_item_code_is_hashable_value():
     b = parse_code("C1*")
     assert a == b
     assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("total_levels", [0, -1])
+def test_random_taxonomy_refuses_fewer_than_one_level(total_levels):
+    message = f"total_levels must be at least 1, got {total_levels}"
+    with pytest.raises(ConfigError, match=message):
+        random_taxonomy(random.Random(0), total_levels=total_levels)
 
 
 def reference_path(code):
