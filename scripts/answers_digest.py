@@ -48,7 +48,7 @@ def answers(seed: int) -> list:
     ]
     return [
         [[list(items), support] for items, support in result.mfs.items()],
-        sorted(result.frequent_items),
+        sorted({i for items in result.mfs for i in items}),
         steps,
         result.trace.passes,
         snapshots,

@@ -60,9 +60,7 @@ def apriori(matrix: LevelMatrix, minsup: int) -> AprioriResult:
         k += 1
     results = ((to_items(s), c) for s, c in found.items())
     ordered = sorted(results, key=lambda kv: (len(kv[0]), kv[0]))
-    frequent = tuple(
-        FrequentSet(s, c, matrix.n_transactions) for s, c in ordered
-    )
+    frequent = tuple(FrequentSet(s, c) for s, c in ordered)
     return AprioriResult(frequent, tuple(trace), len(trace))
 
 
@@ -81,10 +79,6 @@ class MlT2l1Result:
     levels: tuple[MlLevelResult, ...]
     passes: int
     db: TransactionDB
-
-    @property
-    def fingerprint(self) -> str:
-        return self.db.fingerprint()
 
 
 def ml_t2l1(db: TransactionDB, config: LevelConfig) -> MlT2l1Result:
@@ -184,7 +178,7 @@ def _as_support_map(
 
 def compare(a: MultiLevelResult, b: MlT2l1Result) -> ComparisonReport:
     """Tabulate candidates, frequent sets, and passes per level and size."""
-    if a.fingerprint != b.fingerprint:
+    if a.db.fingerprint() != b.db.fingerprint():
         raise InputMismatch("the two runs were produced from different datasets")
     if len(a.levels) != len(b.levels):
         raise InputMismatch(

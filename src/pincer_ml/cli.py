@@ -18,7 +18,6 @@ import csv
 import gc
 import json
 import math
-import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -51,7 +50,6 @@ if TYPE_CHECKING:
 
 SUPPORT_MODES = ("absolute", "fractional")
 FORMATS = ("json", "text")
-SEED_ENV = "PINCER_ML_SEED"
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -119,12 +117,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument(
         "--transactions", required=True, help="transactions CSV to write"
     )
-    p_gen.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"RNG seed (default: ${SEED_ENV} or 0)",
-    )
+    p_gen.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p_gen.add_argument("--roots", type=int, default=4)
     p_gen.add_argument("--max-children", type=int, default=3)
     p_gen.add_argument("--levels", type=int, default=3)
@@ -276,7 +269,7 @@ def _mine_json(meta: dict, result: MultiLevelResult, rules_per_level, min_conf) 
         rule_texts = [
             '{"antecedent": %s, "confidence": "%s", "consequent": %s, "support": %d}'
             % (names[x], confidences[id(conf)], names[y], support)
-            for x, y, support, conf, _ in rules
+            for x, y, support, conf in rules
         ]
         levels.append(
             '{"expansion_passes": %d, "frequent_itemsets": [%s], "level": %d, '
@@ -312,7 +305,7 @@ def _mine_text(result: MultiLevelResult, rules_per_level, min_conf) -> str:
         lines.extend(
             "    %s -> %s  support=%d  confidence=%s"
             % (names[x], names[y], support, confidences[id(conf)])
-            for x, y, support, conf, _ in rules
+            for x, y, support, conf in rules
         )
         if not rules:
             lines.append("    (none)")
@@ -330,7 +323,7 @@ def cmd_mine(args) -> int:
     min_conf = parse_confidence(args.min_conf)
     _, _, result = _mine_levels(args, DescentPolicy(args.policy))
     rules_per_level = [
-        generate_rules(lr.frequent, min_conf, lr.level) for lr in result.levels
+        generate_rules(lr.frequent, min_conf) for lr in result.levels
     ]
     if args.format == "json":
         text = _mine_json(_meta(args.command), result, rules_per_level, min_conf)
@@ -453,15 +446,8 @@ def cmd_gen(args) -> int:
 
     if args.rows < 0:
         raise ConfigError(f"--rows must be non-negative, got {args.rows}")
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get(SEED_ENV, "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ConfigError(f"${SEED_ENV} must be an integer, got {text!r}") from None
     db = random_dataset(
-        seed=seed,
+        seed=args.seed,
         n_roots=args.roots,
         max_children=args.max_children,
         total_levels=args.levels,
@@ -471,7 +457,7 @@ def cmd_gen(args) -> int:
     _write_csv(args.taxonomy, ("code", "name"), taxonomy_csv_rows(db.taxonomy))
     _write_csv(args.transactions, ("tid", "item"), transaction_csv_rows(db))
     payload = {
-        "seed": seed,
+        "seed": args.seed,
         "taxonomy": args.taxonomy,
         "transactions": args.transactions,
         "leaves": len(db.taxonomy),

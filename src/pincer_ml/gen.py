@@ -110,7 +110,7 @@ def random_matrix(
 
 def taxonomy_csv_rows(taxonomy: Taxonomy) -> list[tuple[str, str]]:
     """Leaf rows in code order, ready for ``csv.writer``."""
-    return [(code.text, taxonomy.name_of(code)) for code in sorted(taxonomy.codes)]
+    return [(code.text, taxonomy.names[code]) for code in sorted(taxonomy.codes)]
 
 
 def transaction_csv_rows(db: TransactionDB) -> list[tuple[str, str]]:

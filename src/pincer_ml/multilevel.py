@@ -75,10 +75,6 @@ class MultiLevelResult(NamedTuple):
     def total_passes(self) -> int:
         return self.mining_passes + self.expansion_passes
 
-    @property
-    def fingerprint(self) -> str:
-        return self.db.fingerprint()
-
 
 def descend_vocabulary(
     taxonomy: Taxonomy,
@@ -97,7 +93,7 @@ def descend_vocabulary(
             f"can only descend to levels 2..{taxonomy.total_levels}, got {level}"
         )
     if policy is DescentPolicy.FREQUENT_PARENTS:
-        parents = {prior.vocabulary[i] for i in prior.frequent_items}
+        parents = {prior.vocabulary[i] for member in prior.mfs for i in member}
     else:
         if prior.mfs:
             widest = max(len(m) for m in prior.mfs)

@@ -57,7 +57,6 @@ class PincerResult(NamedTuple):
     """Maximal frequent itemsets with supports, plus run accounting."""
 
     mfs: Mapping[Itemset, int]
-    frequent_items: frozenset[int]
     trace: PincerTrace
     vocabulary: tuple[ItemCode, ...]
 
@@ -80,7 +79,7 @@ def pincer_search(
         raise InvalidMinsup(f"minsup must be at least 1, got {minsup}")
     n_items = len(matrix.vocabulary)
     if n_items == 0 or matrix.n_transactions == 0:
-        return PincerResult({}, frozenset(), PincerTrace((), 0), matrix.vocabulary)
+        return PincerResult({}, PincerTrace((), 0), matrix.vocabulary)
 
     support: dict[int, int] = {}
     state = BorderState(frozenset({(1 << n_items) - 1}), frozenset())
@@ -131,6 +130,5 @@ def pincer_search(
     # earlier pass, and nothing in mfs covers it.
     results = ((to_items(m), support[m]) for m in state.mfs | state.mfcs)
     ordered = dict(sorted(results, key=lambda kv: (len(kv[0]), kv[0])))
-    frequent_items = frozenset(i for member in ordered for i in member)
     trace = PincerTrace(tuple(steps), len(steps))
-    return PincerResult(ordered, frequent_items, trace, matrix.vocabulary)
+    return PincerResult(ordered, trace, matrix.vocabulary)

@@ -27,11 +27,6 @@ class FrequentSet(NamedTuple):
 
     itemset: Itemset
     support_count: int
-    n_transactions: int
-
-    @property
-    def support_fraction(self) -> Fraction:
-        return Fraction(self.support_count, self.n_transactions)
 
 
 class Rule(NamedTuple):
@@ -41,7 +36,6 @@ class Rule(NamedTuple):
     consequent: Itemset
     support_count: int
     confidence: Fraction
-    level: int
 
 
 def expand_frequent(
@@ -69,13 +63,12 @@ def expand_frequent(
     counts = count_many(matrix, subsets)
     found = ((to_items(s), c) for s, c in counts.items())
     ordered = sorted(found, key=lambda kv: (len(kv[0]), kv[0]))
-    return tuple(FrequentSet(s, c, matrix.n_transactions) for s, c in ordered)
+    return tuple(FrequentSet(s, c) for s, c in ordered)
 
 
 def generate_rules(
     frequent: Iterable[FrequentSet],
     min_conf: Fraction | float,
-    level: int,
 ) -> list[Rule]:
     """Emit every rule of the frequent family meeting ``min_conf``.
 
@@ -132,6 +125,6 @@ def generate_rules(
         if (neg_z, x_support) not in ratios:
             ratios[neg_z, x_support] = Fraction(-neg_z, x_support)
     return [
-        Rule(antecedent, consequent, -neg_z, ratios[neg_z, x_support], level)
+        Rule(antecedent, consequent, -neg_z, ratios[neg_z, x_support])
         for _, neg_z, antecedent, consequent, x_support in kept
     ]

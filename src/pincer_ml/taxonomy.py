@@ -110,12 +110,6 @@ class Taxonomy:
             )
         return self._by_depth[depth]
 
-    def name_of(self, code: ItemCode) -> str:
-        return self.names[code]
-
-    def __contains__(self, code: ItemCode) -> bool:
-        return code in self.names
-
     def __len__(self) -> int:
         return len(self.codes)
 

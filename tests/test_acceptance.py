@@ -156,7 +156,7 @@ def test_criterion_7_border_invariants(bookstore):
 def test_criterion_8_rule_correctness(level1):
     result = pincer_search(level1, 3)
     frequent = expand_frequent(frozenset(result.mfs), level1)
-    rules = generate_rules(frequent, Fraction(1, 2), level=1)
+    rules = generate_rules(frequent, Fraction(1, 2))
     assert rules
     for r in rules:
         z = tuple(sorted(r.antecedent + r.consequent))

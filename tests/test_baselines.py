@@ -66,7 +66,7 @@ class TestMlT2l1:
         assert [lr.passes for lr in result.levels] == [4, 4, 3]
         assert [len(lr.vocabulary) for lr in result.levels] == [9, 7, 14]
         assert [len(lr.frequent) for lr in result.levels] == [21, 26, 25]
-        assert result.fingerprint == bookstore.fingerprint()
+        assert result.db.fingerprint() == bookstore.fingerprint()
 
     def test_agrees_with_pincer_everywhere(self, bookstore):
         config = LevelConfig((3, 2, 2), 3, FP)

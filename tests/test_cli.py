@@ -160,7 +160,7 @@ def reference_payload(result, rules_per_level, min_conf):
                 {
                     "items": texts(fs.itemset, vocab),
                     "support": fs.support_count,
-                    "fraction": str(Fraction(fs.support_count, fs.n_transactions)),
+                    "fraction": str(Fraction(fs.support_count, result.db.n_transactions)),
                 }
                 for fs in lr.frequent
             ],
@@ -241,7 +241,7 @@ class TestMinePayload:
         result = mine_multilevel(db, config)
         min_conf = rng.choice([Fraction(1, 2), Fraction(4, 5), Fraction(1)])
         rules_per_level = [
-            generate_rules(lr.frequent, min_conf, lr.level) for lr in result.levels
+            generate_rules(lr.frequent, min_conf) for lr in result.levels
         ]
         want = reference_payload(result, rules_per_level, min_conf)
         got = _mine_json(FIXED_META, result, rules_per_level, min_conf)
@@ -376,29 +376,13 @@ class TestGen:
             prints.append(json.loads(capsys.readouterr().out)["fingerprint"])
         assert prints[0] == prints[1]
 
-    def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PINCER_ML_SEED", "31")
+    def test_seed_defaults_to_0(self, tmp_path, capsys):
         run(
             "gen",
             "--taxonomy", str(tmp_path / "t.csv"),
             "--transactions", str(tmp_path / "x.csv"),
         )
-        assert json.loads(capsys.readouterr().out)["seed"] == 31
-
-    def test_malformed_seed_env_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PINCER_ML_SEED", "abc")
-        code = run(
-            "gen",
-            "--taxonomy", str(tmp_path / "t.csv"),
-            "--transactions", str(tmp_path / "x.csv"),
-        )
-        assert code == 2
-        assert "PINCER_ML_SEED" in capsys.readouterr().err
-        assert not (tmp_path / "t.csv").exists()
-
-    def test_malformed_seed_env_is_ignored_by_mine(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PINCER_ML_SEED", "abc")
-        assert run(*mine_args(out=tmp_path / "r.json")) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
 
     def test_runaway_tree_exits_2(self, tmp_path, capsys):
         # About 4 * 2**39 leaves: refused while the tree is still small.

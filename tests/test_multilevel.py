@@ -17,8 +17,8 @@ from pincer_ml.multilevel import (
     descend_vocabulary,
     mine_multilevel,
 )
-from pincer_ml.pincer import PassStats, PincerTrace, pincer_search
-from pincer_ml.rules import FrequentSet, Rule
+from pincer_ml.pincer import PassStats, PincerResult, PincerTrace, pincer_search
+from pincer_ml.rules import FrequentSet, Rule, generate_rules
 from pincer_ml.transactions import count_support, project_to_level
 
 FP = DescentPolicy.FREQUENT_PARENTS
@@ -92,6 +92,18 @@ class TestLevelConfig:
         ]
         assert parameters["descent_policy"].default is FP
 
+    def test_result_records_hold_one_copy_of_each_value(self):
+        # The database size lives on the database, the level on the
+        # level's result, and the frequent items in the maximal sets.
+        assert FrequentSet._fields == ("itemset", "support_count")
+        assert Rule._fields == (
+            "antecedent", "consequent", "support_count", "confidence",
+        )
+        assert PincerResult._fields == ("mfs", "trace", "vocabulary")
+        assert list(inspect.signature(generate_rules).parameters) == [
+            "frequent", "min_conf",
+        ]
+
     def test_policy_from_string_value(self):
         assert DescentPolicy("frequent-parents") is FP
         assert DescentPolicy("maximal-itemset-items") is MAXIMAL
@@ -103,8 +115,8 @@ VALUE_RECORDS = {
     "PassStats": (PassStats, (2, 10, 4, 6, 3, 1, 2), "k"),
     "PincerTrace": (PincerTrace, ((PassStats(1, 5, 5, 0, 1, 0, 1),), 1), "passes"),
     "BorderState": (BorderState, (frozenset({0b11}), frozenset({0b100})), "mfcs"),
-    "FrequentSet": (FrequentSet, ((0, 2), 3, 9), "support_count"),
-    "Rule": (Rule, ((0,), (2,), 3, Fraction(3, 4), 1), "confidence"),
+    "FrequentSet": (FrequentSet, ((0, 2), 3), "support_count"),
+    "Rule": (Rule, ((0,), (2,), 3, Fraction(3, 4)), "confidence"),
 }
 
 
@@ -154,7 +166,7 @@ class TestBookstoreRun:
         assert [lr.mining_passes for lr in result.levels] == [3, 3, 3]
         assert [len(lr.vocabulary) for lr in result.levels] == [9, 7, 14]
         assert [len(lr.frequent) for lr in result.levels] == [21, 26, 25]
-        assert result.fingerprint == bookstore.fingerprint()
+        assert result.db.fingerprint() == bookstore.fingerprint()
 
     def test_frequent_parents_level2_border(self, bookstore):
         result = mine_multilevel(bookstore, LevelConfig((3, 2, 2), 3, FP))

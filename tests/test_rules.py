@@ -85,14 +85,10 @@ class TestExpand:
             expand_frequent({tuple(range(20)), tuple(range(1, 21))}, matrix)
         assert swept == []
 
-    def test_support_fraction(self):
-        fs = FrequentSet((0, 1), 4, 15)
-        assert fs.support_fraction == Fraction(4, 15)
-
 
 class TestRules:
     def test_confidence_one_rules(self, level1, level1_frequent):
-        rules = generate_rules(level1_frequent, Fraction(1), level=1)
+        rules = generate_rules(level1_frequent, Fraction(1))
         assert len(rules) == 8
         v = level1.vocabulary
         as_text = {
@@ -103,7 +99,7 @@ class TestRules:
         assert all(r.confidence == 1 for r in rules)
 
     def test_example_confidences(self, level1, level1_frequent):
-        rules = generate_rules(level1_frequent, Fraction(1, 2), level=1)
+        rules = generate_rules(level1_frequent, Fraction(1, 2))
         v = level1.vocabulary
         table = {
             (names(v, r.antecedent), names(v, r.consequent)): r.confidence
@@ -115,7 +111,7 @@ class TestRules:
 
     def test_confidence_matches_raw_counts(self, level1_frequent):
         lookup = {fs.itemset: fs.support_count for fs in level1_frequent}
-        rules = generate_rules(level1_frequent, Fraction(1, 2), level=1)
+        rules = generate_rules(level1_frequent, Fraction(1, 2))
         for r in rules:
             z = tuple(sorted(r.antecedent + r.consequent))
             assert r.confidence == Fraction(lookup[z], lookup[r.antecedent])
@@ -128,43 +124,39 @@ class TestRules:
             for fs in level1_frequent
             if len(fs.itemset) >= 2
         )
-        rules = generate_rules(level1_frequent, Fraction(1, 1000), level=1)
+        rules = generate_rules(level1_frequent, Fraction(1, 1000))
         assert len(rules) == expected == 56
 
     def test_sorted_by_confidence_then_support(self, level1_frequent):
-        rules = generate_rules(level1_frequent, Fraction(1, 2), level=1)
+        rules = generate_rules(level1_frequent, Fraction(1, 2))
         keys = [(-r.confidence, -r.support_count) for r in rules]
         assert keys == sorted(keys)
 
-    def test_level_tag(self, level1_frequent):
-        rules = generate_rules(level1_frequent, Fraction(1, 2), level=7)
-        assert {r.level for r in rules} == {7}
-
     def test_min_conf_bounds(self, level1_frequent):
         with pytest.raises(InvalidConfidence):
-            generate_rules(level1_frequent, 0, level=1)
+            generate_rules(level1_frequent, 0)
         with pytest.raises(InvalidConfidence):
-            generate_rules(level1_frequent, Fraction(3, 2), level=1)
+            generate_rules(level1_frequent, Fraction(3, 2))
 
     def test_missing_subset_support(self):
         frequent = [
-            FrequentSet((0,), 5, 15),
-            FrequentSet((0, 1), 3, 15),  # (1,) deliberately absent
+            FrequentSet((0,), 5),
+            FrequentSet((0, 1), 3),  # (1,) deliberately absent
         ]
         with pytest.raises(MissingSubsetSupport):
-            generate_rules(frequent, Fraction(1, 2), level=1)
+            generate_rules(frequent, Fraction(1, 2))
 
     def test_singletons_alone_make_no_rules(self):
-        frequent = [FrequentSet((0,), 5, 15), FrequentSet((1,), 4, 15)]
-        assert generate_rules(frequent, Fraction(1, 2), level=1) == []
+        frequent = [FrequentSet((0,), 5), FrequentSet((1,), 4)]
+        assert generate_rules(frequent, Fraction(1, 2)) == []
 
     def test_float_min_conf_accepted(self, level1_frequent):
-        via_float = generate_rules(level1_frequent, 0.5, level=1)
-        via_fraction = generate_rules(level1_frequent, Fraction(1, 2), level=1)
+        via_float = generate_rules(level1_frequent, 0.5)
+        via_fraction = generate_rules(level1_frequent, Fraction(1, 2))
         assert via_float == via_fraction
 
 
-def reference_rules(frequent, min_conf, level):
+def reference_rules(frequent, min_conf):
     """Rule generation as it was written on index tuples, for comparison."""
     lookup = {fs.itemset: fs.support_count for fs in frequent}
     rules = []
@@ -178,7 +170,7 @@ def reference_rules(frequent, min_conf, level):
                 if confidence >= min_conf:
                     consequent = tuple(i for i in z if i not in antecedent)
                     rules.append(
-                        Rule(antecedent, consequent, z_support, confidence, level)
+                        Rule(antecedent, consequent, z_support, confidence)
                     )
     rules.sort(
         key=lambda r: (-r.confidence, -r.support_count, r.antecedent, r.consequent)
@@ -195,7 +187,7 @@ def random_family(rng, supports=(1, 12)):
         for size in range(1, len(top) + 1):
             itemsets.update(tuple(sorted(s)) for s in combinations(top, size))
     return [
-        FrequentSet(s, rng.randint(*supports), supports[1]) for s in sorted(itemsets)
+        FrequentSet(s, rng.randint(*supports)) for s in sorted(itemsets)
     ]
 
 
@@ -218,8 +210,8 @@ class TestRulesAgainstReference:
         for supports in SUPPORT_RANGES:
             frequent = random_family(random.Random(seed), supports)
             for min_conf in MIN_CONFS:
-                got = generate_rules(frequent, min_conf, level=2)
-                assert got == reference_rules(frequent, min_conf, level=2)
+                got = generate_rules(frequent, min_conf)
+                assert got == reference_rules(frequent, min_conf)
 
     def test_order_of_confidences_equal_as_floats(self):
         # 0 -> 1 has confidence (2**30 - 1) / 2**30 and 2 -> 3 has
@@ -227,16 +219,16 @@ class TestRulesAgainstReference:
         # round to the same float, and 2 -> 3 has the larger support.
         n = 2**30
         frequent = [
-            FrequentSet((0,), n, 2 * n),
-            FrequentSet((1,), n, 2 * n),
-            FrequentSet((0, 1), n - 1, 2 * n),
-            FrequentSet((2,), 2 * n - 2, 2 * n),
-            FrequentSet((3,), 2 * n - 2, 2 * n),
-            FrequentSet((2, 3), 2 * n - 4, 2 * n),
+            FrequentSet((0,), n),
+            FrequentSet((1,), n),
+            FrequentSet((0, 1), n - 1),
+            FrequentSet((2,), 2 * n - 2),
+            FrequentSet((3,), 2 * n - 2),
+            FrequentSet((2, 3), 2 * n - 4),
         ]
         assert float(Fraction(n - 1, n)) == float(Fraction(2 * n - 4, 2 * n - 2))
-        got = generate_rules(frequent, Fraction(1, 2), level=1)
-        assert got == reference_rules(frequent, Fraction(1, 2), level=1)
+        got = generate_rules(frequent, Fraction(1, 2))
+        assert got == reference_rules(frequent, Fraction(1, 2))
         assert [(r.antecedent, r.consequent) for r in got] == [
             ((0,), (1,)), ((1,), (0,)), ((2,), (3,)), ((3,), (2,)),
         ]
@@ -254,9 +246,9 @@ class TestRulesAgainstReference:
         )
         holed = [fs for fs in frequent if fs.itemset != gone]
         with pytest.raises(MissingSubsetSupport):
-            reference_rules(holed, Fraction(1, 2), level=1)
+            reference_rules(holed, Fraction(1, 2))
         with pytest.raises(MissingSubsetSupport):
-            generate_rules(holed, Fraction(1, 2), level=1)
+            generate_rules(holed, Fraction(1, 2))
 
     def test_equal_on_mined_families(self):
         rng = random.Random(7)
@@ -265,14 +257,14 @@ class TestRulesAgainstReference:
             result = pincer_search(matrix, 8)
             frequent = expand_frequent(frozenset(result.mfs), matrix)
             for min_conf in (Fraction(3, 4), 0.6):
-                got = generate_rules(frequent, min_conf, level=1)
-                assert got == reference_rules(frequent, min_conf, level=1)
+                got = generate_rules(frequent, min_conf)
+                assert got == reference_rules(frequent, min_conf)
 
 
 def every_subset(n_items, support):
     """Every nonempty subset of ``range(n_items)``, its support from its size."""
     return [
-        FrequentSet(s, support(len(s)), 100)
+        FrequentSet(s, support(len(s)))
         for size in range(1, n_items + 1)
         for s in combinations(range(n_items), size)
     ]
@@ -283,19 +275,19 @@ class TestRuleWork:
         # 13 items give 3**13 - 2**14 + 1 raw rules.
         frequent = every_subset(13, lambda size: 20)
         with pytest.raises(ItemsetTooLarge, match=r"1577940 .* 1048576"):
-            generate_rules(frequent, Fraction(1, 2), level=1)
+            generate_rules(frequent, Fraction(1, 2))
 
     def test_refuses_before_walking(self):
         # A missing subset would stop the walk; the limit is checked first.
         frequent = every_subset(13, lambda size: 20)
         del frequent[0]
         with pytest.raises(ItemsetTooLarge):
-            generate_rules(frequent, Fraction(1, 2), level=1)
+            generate_rules(frequent, Fraction(1, 2))
 
     def test_twelve_items_are_within_the_limit(self):
         # 523,250 raw rules; every confidence is below 1, so none is kept.
         frequent = every_subset(12, lambda size: 50 - size)
-        assert generate_rules(frequent, 1, level=1) == []
+        assert generate_rules(frequent, 1) == []
 
     def test_names_each_frequent_set_at_most_once(self, monkeypatch):
         calls = []
@@ -312,12 +304,12 @@ class TestRuleWork:
             result = pincer_search(matrix, 8)
             frequent = expand_frequent(frozenset(result.mfs), matrix)
             calls.clear()
-            got = generate_rules(frequent, Fraction(1, 2), level=1)
-            assert got == reference_rules(frequent, Fraction(1, 2), level=1)
+            got = generate_rules(frequent, Fraction(1, 2))
+            assert got == reference_rules(frequent, Fraction(1, 2))
             assert len(calls) <= len(frequent)
 
     def test_rules_sharing_a_ratio_share_its_fraction(self, level1_frequent):
-        got = generate_rules(level1_frequent, Fraction(1, 2), level=1)
+        got = generate_rules(level1_frequent, Fraction(1, 2))
         by_ratio = {}
         for r in got:
             by_ratio.setdefault((r.support_count, r.confidence), []).append(r)

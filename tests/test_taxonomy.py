@@ -94,14 +94,14 @@ class TestLoadTaxonomy:
     def test_synthesizes_ancestors(self):
         tax = load_taxonomy([("A11", "first"), ("A12", "second")])
         assert len(tax) == 2
-        assert parse_code("A1*") in tax
-        assert parse_code("A**") in tax
-        assert tax.name_of(parse_code("A1*")) == "A1*"
+        assert parse_code("A1*") in tax.names
+        assert parse_code("A**") in tax.names
+        assert tax.names[parse_code("A1*")] == "A1*"
 
     def test_interior_names_are_kept(self):
         tax = load_taxonomy([("A**", "top"), ("A11", "leaf")])
-        assert tax.name_of(parse_code("A**")) == "top"
-        assert tax.name_of(parse_code("A11")) == "leaf"
+        assert tax.names[parse_code("A**")] == "top"
+        assert tax.names[parse_code("A11")] == "leaf"
 
     def test_duplicate_code(self):
         with pytest.raises(DuplicateCode, match="record 2"):
@@ -172,17 +172,17 @@ class TestBookstoreCatalog:
             bookstore_taxonomy.codes_at_depth(4)
 
     def test_names(self, bookstore_taxonomy):
-        assert bookstore_taxonomy.name_of(parse_code("A**")) == "Story book"
-        assert bookstore_taxonomy.name_of(parse_code("I11")) == "S. Chand"
+        assert bookstore_taxonomy.names[parse_code("A**")] == "Story book"
+        assert bookstore_taxonomy.names[parse_code("I11")] == "S. Chand"
         assert (
-            bookstore_taxonomy.name_of(parse_code("G1*"))
+            bookstore_taxonomy.names[parse_code("G1*")]
             == "Elective Sub. English for Bsc"
         )
 
     def test_contains(self, bookstore_taxonomy):
-        assert parse_code("E12") in bookstore_taxonomy
-        assert parse_code("E1*") in bookstore_taxonomy
-        assert parse_code("Z**") not in bookstore_taxonomy
+        assert parse_code("E12") in bookstore_taxonomy.names
+        assert parse_code("E1*") in bookstore_taxonomy.names
+        assert parse_code("Z**") not in bookstore_taxonomy.names
 
 
 class TestReadCsv:
@@ -263,7 +263,7 @@ class TestAgainstPathModel:
                     ancestor = generalize(code, level)
                     assert reference_path(ancestor) == path[:level]
                     assert ancestor.text == reference_text(path[:level], width)
-                    assert ancestor in taxonomy
+                    assert ancestor in taxonomy.names
                 assert generalize(code, len(path)) == code
 
     def test_codes_at_depth_order(self, bookstore_taxonomy):
