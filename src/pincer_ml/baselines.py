@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputMismatch, InvalidMinsup
+from .errors import ConfigError, MiningError
 from .itemsets import apriori_prune, join, to_items
 from .multilevel import LevelConfig, MultiLevelResult, check_config
 from .rules import FrequentSet
@@ -35,7 +35,7 @@ class AprioriResult:
 def apriori(matrix: LevelMatrix, minsup: int) -> AprioriResult:
     """Classic levelwise mining: count size-k candidates, pass k."""
     if minsup < 1:
-        raise InvalidMinsup(f"minsup must be at least 1, got {minsup}")
+        raise ConfigError(f"minsup must be at least 1, got {minsup}")
     found: dict[int, int] = {}
     trace: list[AprioriPassStats] = []
     if matrix.n_transactions == 0:
@@ -179,9 +179,9 @@ def _as_support_map(
 def compare(a: MultiLevelResult, b: MlT2l1Result) -> ComparisonReport:
     """Tabulate candidates, frequent sets, and passes per level and size."""
     if a.db.fingerprint() != b.db.fingerprint():
-        raise InputMismatch("the two runs were produced from different datasets")
+        raise MiningError("the two runs were produced from different datasets")
     if len(a.levels) != len(b.levels):
-        raise InputMismatch(
+        raise MiningError(
             f"level counts differ: {len(a.levels)} vs {len(b.levels)}"
         )
     level_reports: list[LevelComparison] = []

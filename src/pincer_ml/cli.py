@@ -10,6 +10,7 @@ gen           emit a seeded random taxonomy/transactions CSV pair
 
 Exit codes: 0 success, 1 runtime failure (bad data, missing file,
 mismatched results), 2 bad invocation, 3 exact-computation size limit.
+Each error class in ``errors`` carries its code as ``exit_code``.
 """
 from __future__ import annotations
 
@@ -25,14 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import (
-    ConfigError,
-    InvalidConfidence,
-    InvalidMinsup,
-    ItemsetTooLarge,
-    MiningError,
-    VocabularyTooLarge,
-)
+from .errors import ConfigError, MiningError
 from .multilevel import (
     DescentPolicy,
     LevelConfig,
@@ -53,8 +47,6 @@ FORMATS = ("json", "text")
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
-EXIT_USAGE = 2
-EXIT_LIMIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -460,7 +452,7 @@ def cmd_gen(args) -> int:
         "seed": args.seed,
         "taxonomy": args.taxonomy,
         "transactions": args.transactions,
-        "leaves": len(db.taxonomy),
+        "leaves": len(db.leaves),
         "rows": db.n_transactions,
         "fingerprint": db.fingerprint(),
     }
@@ -510,11 +502,8 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except (MiningError, OSError) as exc:
         print(f"pincer-ml: {exc}", file=sys.stderr)
-        if isinstance(exc, (ConfigError, InvalidMinsup, InvalidConfidence)):
-            return EXIT_USAGE
-        if isinstance(exc, (VocabularyTooLarge, ItemsetTooLarge)):
-            return EXIT_LIMIT
-        return EXIT_RUNTIME
+        # An OSError (a missing or unreadable file) is a runtime failure.
+        return getattr(exc, "exit_code", EXIT_RUNTIME)
 
 
 def app() -> None:

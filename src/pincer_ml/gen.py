@@ -62,7 +62,7 @@ def random_transactions(
         raise ConfigError(f"negative transaction count: {n_transactions}")
     if max_items < 1:
         raise ConfigError(f"max_items must be at least 1, got {max_items}")
-    leaves = sorted(taxonomy.codes)
+    leaves = taxonomy.codes_at_depth(taxonomy.total_levels)
     cap = min(max_items, len(leaves))
     records = []
     for tid in range(1, n_transactions + 1):
@@ -110,7 +110,8 @@ def random_matrix(
 
 def taxonomy_csv_rows(taxonomy: Taxonomy) -> list[tuple[str, str]]:
     """Leaf rows in code order, ready for ``csv.writer``."""
-    return [(code.text, taxonomy.names[code]) for code in sorted(taxonomy.codes)]
+    leaves = taxonomy.codes_at_depth(taxonomy.total_levels)
+    return [(code.text, taxonomy.names[code]) for code in leaves]
 
 
 def transaction_csv_rows(db: TransactionDB) -> list[tuple[str, str]]:

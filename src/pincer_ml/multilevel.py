@@ -11,7 +11,7 @@ import warnings
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ConfigError, InvalidMinsup, LevelOutOfRange
+from .errors import ConfigError, MiningError
 from .pincer import PincerResult, pincer_search
 from .rules import FrequentSet, expand_frequent
 from .taxonomy import ItemCode, Taxonomy, generalize
@@ -52,7 +52,7 @@ def check_config(config: LevelConfig, taxonomy: Taxonomy) -> None:
         )
     for value in config.minsup_per_level:
         if value < 1:
-            raise InvalidMinsup(f"minsup must be at least 1, got {value}")
+            raise ConfigError(f"minsup must be at least 1, got {value}")
 
 
 class LevelResult(NamedTuple):
@@ -89,7 +89,7 @@ def descend_vocabulary(
     largest maximal frequent itemset.
     """
     if not 2 <= level <= taxonomy.total_levels:
-        raise LevelOutOfRange(
+        raise MiningError(
             f"can only descend to levels 2..{taxonomy.total_levels}, got {level}"
         )
     if policy is DescentPolicy.FREQUENT_PARENTS:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import VocabularyTooLarge
+from .errors import LimitError
 from .transactions import LevelMatrix
 
 MAX_ORACLE_ITEMS = 24
@@ -32,7 +32,7 @@ def brute_force(matrix: LevelMatrix, minsup: int) -> OracleResult:
     """
     n_items = len(matrix.vocabulary)
     if n_items > MAX_ORACLE_ITEMS:
-        raise VocabularyTooLarge(
+        raise LimitError(
             f"{n_items} items exceed the exhaustive-search limit of "
             f"{MAX_ORACLE_ITEMS}"
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import InvalidMinsup
+from .errors import ConfigError
 from .itemsets import (
     BorderState,
     Itemset,
@@ -76,7 +76,7 @@ def pincer_search(
     so far, each a frozenset of index tuples.
     """
     if minsup < 1:
-        raise InvalidMinsup(f"minsup must be at least 1, got {minsup}")
+        raise ConfigError(f"minsup must be at least 1, got {minsup}")
     n_items = len(matrix.vocabulary)
     if n_items == 0 or matrix.n_transactions == 0:
         return PincerResult({}, PincerTrace((), 0), matrix.vocabulary)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple
 
-from .errors import InvalidConfidence, ItemsetTooLarge, MissingSubsetSupport
+from .errors import ConfigError, LimitError, MiningError
 from .itemsets import Itemset, to_items, to_mask
 from .transactions import LevelMatrix, count_many
 
@@ -48,7 +48,7 @@ def expand_frequent(
     """
     total = sum(1 << len(m) for m in mfs)
     if total > MAX_EXPANSION_SUBSETS:
-        raise ItemsetTooLarge(
+        raise LimitError(
             f"the maximal sets have {total} subsets; "
             f"the expansion limit is {MAX_EXPANSION_SUBSETS}"
         )
@@ -84,14 +84,14 @@ def generate_rules(
     1/S**2, so the integer key orders them exactly as the ratios.
     """
     if not 0 < min_conf <= 1:
-        raise InvalidConfidence(f"min_conf must be in (0, 1], got {min_conf}")
+        raise ConfigError(f"min_conf must be in (0, 1], got {min_conf}")
     # z / x >= num / den, compared exactly in integers, as Fraction >= float is.
     num, den = Fraction(min_conf).as_integer_ratio()
     family = {to_mask(fs.itemset): fs for fs in frequent}
     support = {m: fs.support_count for m, fs in family.items()}
     candidates = sum((1 << z.bit_count()) - 2 for z in support)
     if candidates > MAX_RULE_CANDIDATES:
-        raise ItemsetTooLarge(
+        raise LimitError(
             f"the frequent family has {candidates} candidate rules; "
             f"the rule limit is {MAX_RULE_CANDIDATES}"
         )
@@ -104,7 +104,7 @@ def generate_rules(
         while x:
             x_support = support.get(x)
             if x_support is None:
-                raise MissingSubsetSupport(
+                raise MiningError(
                     f"no support recorded for {to_items(x)}, needed by a "
                     f"rule from {to_items(z)}; expand the frequent family first"
                 )

@@ -16,19 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (
-    BadHeader,
-    BadLength,
-    BadRow,
-    BadSymbol,
-    DanglingCode,
-    DuplicateCode,
-    EmptyCode,
-    EmptyTaxonomy,
-    LevelOutOfRange,
-    MiningError,
-    WildcardNotSuffix,
-)
+from .errors import MiningError
 
 WILDCARD = "*"
 DEFAULT_LEVELS = 3
@@ -52,7 +40,7 @@ class ItemCode(str):
 def parse_code(text: str, total_levels: int = DEFAULT_LEVELS) -> ItemCode:
     """Parse the fixed-width textual form of a code."""
     if len(text) != total_levels:
-        raise BadLength(
+        raise MiningError(
             f"code {text!r}: expected {total_levels} symbols, got {len(text)}"
         )
     in_padding = False
@@ -60,11 +48,11 @@ def parse_code(text: str, total_levels: int = DEFAULT_LEVELS) -> ItemCode:
         if ch == WILDCARD:
             in_padding = True
         elif in_padding:
-            raise WildcardNotSuffix(f"code {text!r}: branch symbol after '*'")
+            raise MiningError(f"code {text!r}: branch symbol after '*'")
         elif not ch.isalnum():
-            raise BadSymbol(f"code {text!r}: symbol {ch!r} is not alphanumeric")
+            raise MiningError(f"code {text!r}: symbol {ch!r} is not alphanumeric")
     if not text.rstrip(WILDCARD):
-        raise EmptyCode(f"code {text!r} is all wildcards")
+        raise MiningError(f"code {text!r} is all wildcards")
     return ItemCode(text)
 
 
@@ -74,26 +62,25 @@ def generalize(code: ItemCode, level: int) -> ItemCode:
     ``generalize(code, code.depth)`` is the code itself.
     """
     if not 1 <= level <= code.depth:
-        raise LevelOutOfRange(
+        raise MiningError(
             f"cannot generalize {code.text!r} (depth {code.depth}) to level {level}"
         )
     return ItemCode(code[:level] + WILDCARD * (len(code) - level))
 
 
 class Taxonomy:
-    """All fully specified codes plus display names for every node.
+    """Display names for every node of the concept tree.
 
-    ``codes`` holds the leaves (depth == total_levels).  ``names`` maps
-    every node, leaf or interior, to a display name; interior nodes that
-    were never named explicitly default to their own code text.
+    ``names`` maps every node, leaf or interior, to a display name;
+    interior nodes that were never named explicitly default to their own
+    code text.  The leaves are the nodes at depth ``total_levels``.
     """
 
-    codes: frozenset[ItemCode]
     names: Mapping[ItemCode, str]
     total_levels: int
 
-    def __init__(self, codes, names, total_levels) -> None:
-        self.codes, self.names, self.total_levels = codes, names, total_levels
+    def __init__(self, names, total_levels) -> None:
+        self.names, self.total_levels = names, total_levels
 
     @cached_property
     def _by_depth(self) -> dict[int, tuple[ItemCode, ...]]:
@@ -105,13 +92,10 @@ class Taxonomy:
     def codes_at_depth(self, depth: int) -> tuple[ItemCode, ...]:
         """All nodes at ``depth``, sorted by code text."""
         if not 1 <= depth <= self.total_levels:
-            raise LevelOutOfRange(
+            raise MiningError(
                 f"depth {depth} outside 1..{self.total_levels}"
             )
         return self._by_depth[depth]
-
-    def __len__(self) -> int:
-        return len(self.codes)
 
 
 def load_taxonomy(
@@ -132,18 +116,18 @@ def load_taxonomy(
         try:
             code = parse_code(text, total_levels)
         except MiningError as exc:
-            raise type(exc)(f"record {position}: {exc}") from exc
+            raise MiningError(f"record {position}: {exc}") from exc
         if code in names:
-            raise DuplicateCode(f"record {position}: duplicate code {text!r}")
+            raise MiningError(f"record {position}: duplicate code {text!r}")
         names[code] = name
         if code.depth == total_levels:
             leaves.add(code)
         else:
             interior.append((position, code))
     if count == 0:
-        raise EmptyTaxonomy("no records")
+        raise MiningError("no records")
     if not leaves:
-        raise EmptyTaxonomy("no fully specified codes")
+        raise MiningError("no fully specified codes")
     # Each depth's nodes are the parents of the depth below, so every
     # node below the roots is generalized exactly once.
     ancestors: set[ItemCode] = set()
@@ -153,18 +137,18 @@ def load_taxonomy(
         ancestors |= nodes
     for position, code in interior:
         if code not in ancestors:
-            raise DanglingCode(
+            raise MiningError(
                 f"record {position}: {code.text!r} has no leaf beneath it"
             )
     for ancestor in ancestors:
         names.setdefault(ancestor, ancestor.text)
-    return Taxonomy(frozenset(leaves), names, total_levels)
+    return Taxonomy(names, total_levels)
 
 
 def _check_header(row: list[str] | None, expected: tuple[str, ...], path: Path) -> None:
     got = tuple(cell.strip().lower() for cell in row) if row else ()
     if got != expected:
-        raise BadHeader(
+        raise MiningError(
             f"{path}: expected header {','.join(expected)!r}, got {row!r}"
         )
 
@@ -176,7 +160,7 @@ def _csv_records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[str, str
     except UnicodeDecodeError as exc:
         # exc.object is what was decoded: ``data`` without any BOM.
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise BadRow(f"{path}, line {line}: not UTF-8 ({exc.reason})") from exc
+        raise MiningError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         _check_header(next(reader, None), header, path)
@@ -184,16 +168,16 @@ def _csv_records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[str, str
             if not row:
                 continue
             if len(row) != len(header):
-                raise BadRow(
+                raise MiningError(
                     f"{path}, line {reader.line_num}: expected "
                     f"{len(header)} cells, got {len(row)}"
                 )
             key = row[0].strip()
             if not key:
-                raise BadRow(f"{path}, line {reader.line_num}: blank {header[0]}")
+                raise MiningError(f"{path}, line {reader.line_num}: blank {header[0]}")
             yield key, row[1].strip()
     except csv.Error as exc:
-        raise BadRow(f"{path}, line {reader.line_num}: {exc}") from exc
+        raise MiningError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
 def read_taxonomy_csv(path: str | Path, total_levels: int | None = None) -> Taxonomy:
@@ -206,6 +190,6 @@ def read_taxonomy_csv(path: str | Path, total_levels: int | None = None) -> Taxo
     records = list(_csv_records(path, ("code", "name")))
     if total_levels is None:
         if not records:
-            raise EmptyTaxonomy(f"{path}: no records")
+            raise MiningError(f"{path}: no records")
         total_levels = len(records[0][0])
     return load_taxonomy(records, total_levels)

@@ -11,7 +11,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, NoReturn
 
-from .errors import IndexOutOfRange, LevelOutOfRange, MiningError, UnknownItem
+from .errors import MiningError
 from .itemsets import Itemset, bits, to_mask
 from .taxonomy import ItemCode, Taxonomy, generalize
 from .taxonomy import _csv_records
@@ -96,7 +96,7 @@ def load_transactions(
             try:
                 _reject_item(text, taxonomy)
             except MiningError as exc:
-                raise type(exc)(f"record {position}: {exc}") from exc
+                raise MiningError(f"record {position}: {exc}") from exc
         baskets[tid].add(i)
     rows = tuple(tuple(sorted(basket)) for basket in baskets.values())
     return TransactionDB(tuple(baskets), rows, taxonomy)
@@ -107,7 +107,7 @@ def _reject_item(text: str, taxonomy: Taxonomy) -> NoReturn:
     from .taxonomy import parse_code
 
     parse_code(text, taxonomy.total_levels)
-    raise UnknownItem(f"{text!r} is not a leaf of the taxonomy")
+    raise MiningError(f"{text!r} is not a leaf of the taxonomy")
 
 
 def read_transactions_csv(path: str | Path, taxonomy: Taxonomy) -> TransactionDB:
@@ -163,11 +163,11 @@ def project_to_level(
     """
     total = db.taxonomy.total_levels
     if not 1 <= level <= total:
-        raise LevelOutOfRange(f"level {level} outside 1..{total}")
+        raise MiningError(f"level {level} outside 1..{total}")
     if vocabulary_filter is not None:
         bad = [c for c in vocabulary_filter if c.depth != level]
         if bad:
-            raise LevelOutOfRange(
+            raise MiningError(
                 f"filter code {bad[0].text!r} has depth {bad[0].depth}, "
                 f"expected {level}"
             )
@@ -185,7 +185,7 @@ def count_support(matrix: LevelMatrix, items: Itemset) -> int:
     width = len(matrix.vocabulary)
     for i in items:
         if not 0 <= i < width:
-            raise IndexOutOfRange(f"index {i} outside vocabulary of width {width}")
+            raise MiningError(f"index {i} outside vocabulary of width {width}")
     return _support(matrix, to_mask(items))
 
 

@@ -5,7 +5,7 @@ import pytest
 from helpers import frequent_by_text, sweeps
 from pincer_ml import baselines
 from pincer_ml.baselines import apriori, compare, ml_t2l1
-from pincer_ml.errors import InputMismatch, InvalidMinsup
+from pincer_ml.errors import ConfigError, MiningError
 from pincer_ml.gen import random_dataset, random_matrix
 from pincer_ml.multilevel import DescentPolicy, LevelConfig, mine_multilevel
 from pincer_ml.oracle import brute_force
@@ -48,7 +48,7 @@ class TestApriori:
         assert result.frequent == ()
 
     def test_invalid_minsup(self, level1):
-        with pytest.raises(InvalidMinsup):
+        with pytest.raises(ConfigError, match="minsup must be at least 1, got 0$"):
             apriori(level1, 0)
 
     def test_matches_oracle(self, level1):
@@ -137,7 +137,7 @@ class TestCompare:
         mined = mine_multilevel(bookstore, config)
         other = random_dataset(3, n_roots=4, max_children=3, n_transactions=10)
         baseline = ml_t2l1(other, LevelConfig((2, 2, 2), 3, FP))
-        with pytest.raises(InputMismatch):
+        with pytest.raises(MiningError, match="produced from different datasets"):
             compare(mined, baseline)
 
 

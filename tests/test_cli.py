@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 import pincer_ml
 from conftest import DATA, GOLDEN
+from pincer_ml import errors
 from pincer_ml.cli import _mine_json, _mine_text, main
 from pincer_ml.errors import MiningError
 from pincer_ml.gen import random_dataset
 from pincer_ml.multilevel import DescentPolicy, LevelConfig, mine_multilevel
-from pincer_ml.rules import generate_rules
+from pincer_ml.pincer import pincer_search
+from pincer_ml.rules import expand_frequent, generate_rules
 from pincer_ml.transactions import TransactionDB
 
 
@@ -725,6 +727,34 @@ class TestExitCodes:
 
         monkeypatch.setattr("pincer_ml.multilevel.pincer_search", boom)
         assert run(*mine_args(out=tmp_path / "r.json")) == 1
+
+    def test_each_error_class_carries_its_exit_code(
+        self, monkeypatch, tmp_path, capsys, level1
+    ):
+        classes = {
+            name: value
+            for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+        }
+        assert {name: cls.exit_code for name, cls in classes.items()} == {
+            "MiningError": 1,
+            "ConfigError": 2,
+            "LimitError": 3,
+        }
+        for cls in classes.values():
+            def boom(*args, _cls=cls, **kwargs):
+                raise _cls("injected failure")
+
+            monkeypatch.setattr("pincer_ml.multilevel.pincer_search", boom)
+            assert run(*mine_args(out=tmp_path / "r.json")) == cls.exit_code
+        assert capsys.readouterr().err == "pincer-ml: injected failure\n" * 3
+        # The CLI refuses these thresholds while parsing; a library
+        # caller gets the same exit code from the engine's own check.
+        with pytest.raises(errors.ConfigError, match="got 0$"):
+            pincer_search(level1, 0)
+        frequent = expand_frequent(pincer_search(level1, 3).mfs, level1)
+        with pytest.raises(errors.ConfigError, match="got 0$"):
+            generate_rules(frequent, 0)
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

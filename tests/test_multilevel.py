@@ -8,7 +8,7 @@ import pytest
 from helpers import frequent_by_text, mfs_by_text
 from pincer_ml import baselines, multilevel
 from pincer_ml.baselines import ml_t2l1
-from pincer_ml.errors import ConfigError, InvalidMinsup, LevelOutOfRange
+from pincer_ml.errors import ConfigError, MiningError
 from pincer_ml.gen import random_dataset
 from pincer_ml.itemsets import BorderState
 from pincer_ml.multilevel import (
@@ -68,7 +68,7 @@ class TestLevelConfig:
 
     def test_thresholds_must_be_positive(self, bookstore, projections):
         message = "minsup must be at least 1, got 0"
-        assert_refused(bookstore, projections, ((3, 0, 2), 3), InvalidMinsup, message)
+        assert_refused(bookstore, projections, ((3, 0, 2), 3), ConfigError, message)
 
     def test_warns_on_rising_threshold(self, bookstore):
         for config in built_three_ways((2, 5, 2), 3):
@@ -134,9 +134,9 @@ def test_value_records_compare_hash_and_refuse_assignment(name):
 class TestDescent:
     def test_level_bounds(self, bookstore_taxonomy, level1):
         prior = pincer_search(level1, 3)
-        with pytest.raises(LevelOutOfRange):
+        with pytest.raises(MiningError, match=r"levels 2\.\.3, got 1$"):
             descend_vocabulary(bookstore_taxonomy, 1, prior, FP)
-        with pytest.raises(LevelOutOfRange):
+        with pytest.raises(MiningError, match=r"levels 2\.\.3, got 4$"):
             descend_vocabulary(bookstore_taxonomy, 4, prior, FP)
 
     def test_frequent_parents_level2(self, bookstore_taxonomy, level1):

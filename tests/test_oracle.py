@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from helpers import idx
-from pincer_ml.errors import VocabularyTooLarge
+from pincer_ml.errors import LimitError
 from pincer_ml.gen import random_matrix
 from pincer_ml.oracle import MAX_ORACLE_ITEMS, brute_force
 from pincer_ml.taxonomy import ItemCode
@@ -64,7 +64,8 @@ class TestBookstore:
 class TestLimits:
     def test_vocabulary_cap(self):
         matrix = random_matrix(random.Random(0), MAX_ORACLE_ITEMS + 1, 3)
-        with pytest.raises(VocabularyTooLarge):
+        message = f"^{MAX_ORACLE_ITEMS + 1} items exceed .* of {MAX_ORACLE_ITEMS}$"
+        with pytest.raises(LimitError, match=message):
             brute_force(matrix, 1)
 
     def test_cap_is_inclusive(self):

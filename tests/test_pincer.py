@@ -5,7 +5,7 @@ import pytest
 from helpers import idx, mfs_by_text, sweeps
 from pincer_ml import pincer
 from pincer_ml.baselines import apriori
-from pincer_ml.errors import InvalidMinsup
+from pincer_ml.errors import ConfigError
 from pincer_ml.gen import random_matrix
 from pincer_ml.itemsets import to_items, to_mask
 from pincer_ml.oracle import brute_force
@@ -63,9 +63,9 @@ class TestEdges:
         assert frozenset(result.mfs) == oracle.maximal
 
     def test_invalid_minsup(self, level1):
-        with pytest.raises(InvalidMinsup):
+        with pytest.raises(ConfigError, match="minsup must be at least 1, got 0$"):
             pincer_search(level1, 0)
-        with pytest.raises(InvalidMinsup):
+        with pytest.raises(ConfigError, match="minsup must be at least 1, got -3$"):
             pincer_search(level1, -3)
 
     def test_empty_vocabulary(self, bookstore, monkeypatch):

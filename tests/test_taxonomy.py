@@ -5,18 +5,7 @@ import sys
 
 import pytest
 
-from pincer_ml.errors import (
-    BadHeader,
-    BadLength,
-    BadSymbol,
-    ConfigError,
-    DanglingCode,
-    DuplicateCode,
-    EmptyCode,
-    EmptyTaxonomy,
-    LevelOutOfRange,
-    WildcardNotSuffix,
-)
+from pincer_ml.errors import ConfigError, MiningError
 from pincer_ml.gen import random_dataset, random_taxonomy
 from pincer_ml.taxonomy import (
     ItemCode,
@@ -43,23 +32,23 @@ class TestParseCode:
             assert parse_code(text).text == text
 
     def test_wrong_width(self):
-        with pytest.raises(BadLength):
+        with pytest.raises(MiningError, match="expected 3 symbols, got 2"):
             parse_code("C1")
-        with pytest.raises(BadLength):
+        with pytest.raises(MiningError, match="expected 3 symbols, got 4"):
             parse_code("C123")
 
     def test_wildcard_must_be_suffix(self):
-        with pytest.raises(WildcardNotSuffix):
+        with pytest.raises(MiningError, match=r"branch symbol after '\*'"):
             parse_code("C*2")
 
     def test_all_wildcards(self):
-        with pytest.raises(EmptyCode):
+        with pytest.raises(MiningError, match="is all wildcards"):
             parse_code("***")
 
     def test_non_alphanumeric(self):
-        with pytest.raises(BadSymbol):
+        with pytest.raises(MiningError, match="symbol '-' is not alphanumeric"):
             parse_code("C-2")
-        with pytest.raises(BadSymbol):
+        with pytest.raises(MiningError, match="symbol ' ' is not alphanumeric"):
             parse_code("C 2")
 
     def test_custom_width(self):
@@ -75,9 +64,9 @@ class TestGeneralize:
         assert generalize(leaf, 3) == leaf
 
     def test_out_of_range(self):
-        with pytest.raises(LevelOutOfRange):
+        with pytest.raises(MiningError, match=r"'C12' \(depth 3\) to level 0"):
             generalize(parse_code("C12"), 0)
-        with pytest.raises(LevelOutOfRange):
+        with pytest.raises(MiningError, match=r"'C1\*' \(depth 2\) to level 3"):
             generalize(parse_code("C1*"), 3)
 
 
@@ -93,7 +82,7 @@ class TestItemCode:
 class TestLoadTaxonomy:
     def test_synthesizes_ancestors(self):
         tax = load_taxonomy([("A11", "first"), ("A12", "second")])
-        assert len(tax) == 2
+        assert len(tax.codes_at_depth(3)) == 2
         assert parse_code("A1*") in tax.names
         assert parse_code("A**") in tax.names
         assert tax.names[parse_code("A1*")] == "A1*"
@@ -104,23 +93,23 @@ class TestLoadTaxonomy:
         assert tax.names[parse_code("A11")] == "leaf"
 
     def test_duplicate_code(self):
-        with pytest.raises(DuplicateCode, match="record 2"):
+        with pytest.raises(MiningError, match="record 2: duplicate code 'A11'"):
             load_taxonomy([("A11", "x"), ("A11", "y")])
 
     def test_dangling_interior(self):
-        with pytest.raises(DanglingCode, match="B1"):
+        with pytest.raises(MiningError, match=r"'B1\*' has no leaf beneath it"):
             load_taxonomy([("A11", "x"), ("B1*", "orphan")])
 
     def test_empty(self):
-        with pytest.raises(EmptyTaxonomy):
+        with pytest.raises(MiningError, match="^no records$"):
             load_taxonomy([])
 
     def test_no_leaves(self):
-        with pytest.raises(EmptyTaxonomy):
+        with pytest.raises(MiningError, match="^no fully specified codes$"):
             load_taxonomy([("A**", "only interior")])
 
     def test_bad_record_is_positioned(self):
-        with pytest.raises(BadLength, match="record 2"):
+        with pytest.raises(MiningError, match="record 2: code 'B1': expected 3"):
             load_taxonomy([("A11", "ok"), ("B1", "short")])
 
     @staticmethod
@@ -142,7 +131,7 @@ class TestLoadTaxonomy:
             tax = load_taxonomy(records)
         finally:
             sys.setprofile(None)
-        assert len(tax) == n
+        assert len(tax.codes_at_depth(tax.total_levels)) == n
         return calls
 
     def test_named_interior_nodes_load_in_linear_work(self):
@@ -153,7 +142,7 @@ class TestLoadTaxonomy:
 
 class TestBookstoreCatalog:
     def test_leaf_count(self, bookstore_taxonomy):
-        assert len(bookstore_taxonomy) == 16
+        assert len(bookstore_taxonomy.codes_at_depth(3)) == 16
 
     def test_codes_per_depth(self, bookstore_taxonomy):
         assert len(bookstore_taxonomy.codes_at_depth(1)) == 9
@@ -166,9 +155,9 @@ class TestBookstoreCatalog:
             assert texts == sorted(texts)
 
     def test_depth_out_of_range(self, bookstore_taxonomy):
-        with pytest.raises(LevelOutOfRange):
+        with pytest.raises(MiningError, match="depth 0 outside 1..3"):
             bookstore_taxonomy.codes_at_depth(0)
-        with pytest.raises(LevelOutOfRange):
+        with pytest.raises(MiningError, match="depth 4 outside 1..3"):
             bookstore_taxonomy.codes_at_depth(4)
 
     def test_names(self, bookstore_taxonomy):
@@ -192,13 +181,13 @@ class TestReadCsv:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "tax.csv"
         path.write_text("id,label\nA11,x\n")
-        with pytest.raises(BadHeader):
+        with pytest.raises(MiningError, match="expected header 'code,name'"):
             read_taxonomy_csv(path)
 
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "tax.csv"
         path.write_text("code,name\nA11,x\n\nA12,y\n")
-        assert len(read_taxonomy_csv(path)) == 2
+        assert len(read_taxonomy_csv(path).codes_at_depth(3)) == 2
 
     def test_width_inferred_from_first_code(self, tmp_path):
         path = tmp_path / "tax.csv"
@@ -215,7 +204,7 @@ class TestReadCsv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "tax.csv"
         path.write_text("code,name\n")
-        with pytest.raises(EmptyTaxonomy):
+        with pytest.raises(MiningError, match="tax.csv: no records$"):
             read_taxonomy_csv(path)
 
 
@@ -281,7 +270,9 @@ class TestAgainstPathModel:
             # Every node, plus each ancestor as a fresh, equal object.
             codes = list(taxonomy.names)
             codes += [
-                generalize(c, d) for c in taxonomy.codes for d in range(1, c.depth)
+                generalize(c, d)
+                for c in taxonomy.codes_at_depth(taxonomy.total_levels)
+                for d in range(1, c.depth)
             ]
             pairs = {(code, reference_path(code)) for code in codes}
             assert len(pairs) == len(set(codes)) == len({p for _, p in pairs})
@@ -289,5 +280,5 @@ class TestAgainstPathModel:
                 assert hash(code) == hash(parse_code(code.text, taxonomy.total_levels))
 
     def test_empty_zero_width_code(self):
-        with pytest.raises(EmptyCode):
+        with pytest.raises(MiningError, match="code '' is all wildcards"):
             parse_code("", 0)

@@ -8,13 +8,7 @@ import pytest
 import pincer_ml.taxonomy
 from helpers import idx, sweeps
 from pincer_ml import transactions
-from pincer_ml.errors import (
-    BadLength,
-    ConfigError,
-    IndexOutOfRange,
-    LevelOutOfRange,
-    UnknownItem,
-)
+from pincer_ml.errors import ConfigError, MiningError
 from pincer_ml.itemsets import to_mask
 from pincer_ml.gen import random_dataset, random_matrix, transaction_csv_rows
 from pincer_ml.taxonomy import _csv_records, generalize, load_taxonomy, parse_code
@@ -50,15 +44,15 @@ class TestLoadTransactions:
         assert len(leaves_of(db, db.rows[0])) == 1
 
     def test_unknown_item(self):
-        with pytest.raises(UnknownItem, match="record 2"):
+        with pytest.raises(MiningError, match="record 2: 'Z99' is not a leaf"):
             load_transactions([("T1", "A11"), ("T1", "Z99")], TINY)
 
     def test_interior_code_is_not_a_basket_item(self):
-        with pytest.raises(UnknownItem):
+        with pytest.raises(MiningError, match=r"^record 1: 'A1\*' is not a leaf"):
             load_transactions([("T1", "A1*")], TINY)
 
     def test_malformed_code(self):
-        with pytest.raises(BadLength, match="record 1"):
+        with pytest.raises(MiningError, match="record 1: code 'A1': expected 3"):
             load_transactions([("T1", "A1")], TINY)
 
     def test_empty(self):
@@ -112,7 +106,8 @@ def reference_load(records, taxonomy):
 def reference_digest(baskets, taxonomy):
     """The fingerprint as it was written, over sets of codes."""
     parts = [str(taxonomy.total_levels)]
-    parts.extend(sorted(leaf.text for leaf in taxonomy.codes))
+    depth = taxonomy.total_levels
+    parts.extend(sorted(code.text for code in taxonomy.names if code.depth == depth))
     for tid, items in baskets:
         parts.append("|" + tid)
         parts.extend("," + text for text in sorted(code.text for code in items))
@@ -138,7 +133,7 @@ class TestLoadAgainstReference:
     @pytest.mark.parametrize("seed", range(30))
     def test_random_datasets(self, seed):
         taxonomy = random_dataset(seed, total_levels=1 + seed % 4).taxonomy
-        texts = sorted(leaf.text for leaf in taxonomy.codes)
+        texts = [leaf.text for leaf in taxonomy.codes_at_depth(taxonomy.total_levels)]
         # Tids drawn with repeats, so baskets interleave and pairs collapse.
         rng = random.Random(seed)
         records = [(f"T{rng.randint(1, 30)}", rng.choice(texts)) for _ in range(150)]
@@ -224,13 +219,13 @@ class TestProjection:
         assert not any(col & 1 for col in matrix.columns)  # T1 = A11,E11,F11,H11
 
     def test_filter_depth_must_match(self, bookstore):
-        with pytest.raises(LevelOutOfRange):
+        with pytest.raises(MiningError, match=r"'C\*\*' has depth 1, expected 2"):
             project_to_level(bookstore, 2, frozenset({parse_code("C**")}))
 
     def test_level_out_of_range(self, bookstore):
-        with pytest.raises(LevelOutOfRange):
+        with pytest.raises(MiningError, match="level 0 outside 1..3"):
             project_to_level(bookstore, 0)
-        with pytest.raises(LevelOutOfRange):
+        with pytest.raises(MiningError, match="level 4 outside 1..3"):
             project_to_level(bookstore, 4)
 
     def test_empty_filter_gives_zero_width(self, bookstore):
@@ -341,9 +336,9 @@ class TestCounting:
         assert count_support(level1, ()) == 15
 
     def test_index_out_of_range(self, level1):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(MiningError, match="index 9 outside vocabulary of width 9"):
             count_support(level1, (9,))
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(MiningError, match="index -1 outside vocabulary of width 9"):
             count_support(level1, (-1,))
 
     def test_count_many_is_one_pass(self, level1, monkeypatch):
