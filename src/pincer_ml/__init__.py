@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 # engine: they load on first use, so ``import pincer_ml.cli`` skips them.
 _LAZY = {
     "AprioriResult": "baselines",
-    "ComparisonReport": "baselines",
     "MlT2l1Result": "baselines",
     "apriori": "baselines",
     "compare": "baselines",
@@ -54,7 +53,6 @@ def __getattr__(name: str):
 __all__ = [
     "AprioriResult",
     "BorderState",
-    "ComparisonReport",
     "DescentPolicy",
     "FrequentSet",
     "ItemCode",

@@ -7,7 +7,7 @@ counted work compared side by side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, MiningError
 from .itemsets import apriori_prune, join, to_items
@@ -17,16 +17,14 @@ from .taxonomy import ItemCode, generalize
 from .transactions import LevelMatrix, TransactionDB, count_many, project_to_level
 
 
-@dataclass(frozen=True)
-class AprioriPassStats:
+class AprioriPassStats(NamedTuple):
     k: int
     candidates: int
     frequent: int
     passes: int
 
 
-@dataclass(frozen=True, eq=False)
-class AprioriResult:
+class AprioriResult(NamedTuple):
     frequent: tuple[FrequentSet, ...]
     trace: tuple[AprioriPassStats, ...]
     passes: int
@@ -64,8 +62,7 @@ def apriori(matrix: LevelMatrix, minsup: int) -> AprioriResult:
     return AprioriResult(frequent, tuple(trace), len(trace))
 
 
-@dataclass(frozen=True, eq=False)
-class MlLevelResult:
+class MlLevelResult(NamedTuple):
     level: int
     minsup: int
     vocabulary: tuple[ItemCode, ...]
@@ -74,8 +71,7 @@ class MlLevelResult:
     passes: int
 
 
-@dataclass(frozen=True, eq=False)
-class MlT2l1Result:
+class MlT2l1Result(NamedTuple):
     levels: tuple[MlLevelResult, ...]
     passes: int
     db: TransactionDB
@@ -125,40 +121,6 @@ def ml_t2l1(db: TransactionDB, config: LevelConfig) -> MlT2l1Result:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    k: int
-    frequent_itemsets: tuple[tuple[str, ...], ...]
-    pincer_candidates: int
-    baseline_candidates: int
-    pincer_frequent: int
-    baseline_frequent: int
-
-
-@dataclass(frozen=True, eq=False)
-class LevelComparison:
-    level: int
-    rows: tuple[ComparisonRow, ...]
-    pincer_passes: int
-    baseline_passes: int
-
-
-@dataclass(frozen=True, eq=False)
-class ComparisonReport:
-    """Side-by-side work accounting for the two multilevel miners.
-
-    Pass totals cover the mining itself; the bidirectional engine's
-    one-pass-per-level subset expansion is reported separately because
-    the baseline enumerates all frequent sets as it goes.
-    """
-
-    levels: tuple[LevelComparison, ...]
-    pincer_passes: int
-    pincer_expansion_passes: int
-    baseline_passes: int
-    results_match: bool
-
-
 def _frequent_by_size(itemsets) -> dict[int, list[tuple[str, ...]]]:
     """Group text tuples by length; each group comes out sorted."""
     table: dict[int, list[tuple[str, ...]]] = {}
@@ -176,15 +138,23 @@ def _as_support_map(
     }
 
 
-def compare(a: MultiLevelResult, b: MlT2l1Result) -> ComparisonReport:
-    """Tabulate candidates, frequent sets, and passes per level and size."""
+def compare(a: MultiLevelResult, b: MlT2l1Result) -> dict:
+    """Side-by-side work accounting for the two multilevel miners.
+
+    Returns the body of ``pincer-ml compare``'s JSON report, without its
+    ``meta``: candidates, frequent sets and passes per level and size,
+    and the totals.  Pass totals cover the mining itself; the
+    bidirectional engine's one-pass-per-level subset expansion is
+    reported separately because the baseline enumerates all frequent
+    sets as it goes.
+    """
     if a.db.fingerprint() != b.db.fingerprint():
         raise MiningError("the two runs were produced from different datasets")
     if len(a.levels) != len(b.levels):
         raise MiningError(
             f"level counts differ: {len(a.levels)} vs {len(b.levels)}"
         )
-    level_reports: list[LevelComparison] = []
+    levels = []
     results_match = True
     for lr_a, lr_b in zip(a.levels, b.levels):
         map_a = _as_support_map(lr_a.frequent, lr_a.vocabulary)
@@ -197,29 +167,34 @@ def compare(a: MultiLevelResult, b: MlT2l1Result) -> ComparisonReport:
         freq_b = {step.k: step.frequent for step in lr_b.trace}
         rows = []
         for k in sorted(set(sizes_a) | set(cand_a) | set(cand_b)):
-            itemsets = tuple(sizes_a.get(k, []))
+            itemsets = sizes_a.get(k, [])
             rows.append(
-                ComparisonRow(
-                    k=k,
-                    frequent_itemsets=itemsets,
-                    pincer_candidates=cand_a.get(k, 0),
-                    baseline_candidates=cand_b.get(k, 0),
-                    pincer_frequent=len(itemsets),
-                    baseline_frequent=freq_b.get(k, 0),
-                )
+                {
+                    "k": k,
+                    "frequent_itemsets": itemsets,
+                    "pincer_candidates": cand_a.get(k, 0),
+                    "baseline_candidates": cand_b.get(k, 0),
+                    "pincer_frequent": len(itemsets),
+                    "baseline_frequent": freq_b.get(k, 0),
+                }
             )
-        level_reports.append(
-            LevelComparison(
-                level=lr_a.level,
-                rows=tuple(rows),
-                pincer_passes=lr_a.mining_passes,
-                baseline_passes=lr_b.passes,
-            )
+        levels.append(
+            {
+                "level": lr_a.level,
+                "rows": rows,
+                "pincer_passes": lr_a.mining_passes,
+                "baseline_passes": lr_b.passes,
+            }
         )
-    return ComparisonReport(
-        levels=tuple(level_reports),
-        pincer_passes=a.mining_passes,
-        pincer_expansion_passes=a.expansion_passes,
-        baseline_passes=b.passes,
-        results_match=results_match,
-    )
+    every_row = [row for level in levels for row in level["rows"]]
+    return {
+        "levels": levels,
+        "totals": {
+            "pincer_passes": a.mining_passes,
+            "pincer_expansion_passes": a.expansion_passes,
+            "baseline_passes": b.passes,
+            "pincer_candidates": sum(r["pincer_candidates"] for r in every_row),
+            "baseline_candidates": sum(r["baseline_candidates"] for r in every_row),
+            "results_match": results_match,
+        },
+    }

@@ -24,7 +24,6 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import ConfigError, MiningError
 from .multilevel import (
@@ -39,8 +38,6 @@ from .transactions import project_to_level, read_transactions_csv
 
 # baselines, oracle and gen are imported inside the commands that use
 # them, so ``mine`` loads none of them.
-if TYPE_CHECKING:
-    from .baselines import ComparisonReport
 
 SUPPORT_MODES = ("absolute", "fractional")
 FORMATS = ("json", "text")
@@ -328,17 +325,6 @@ def cmd_mine(args) -> int:
 # ------------------------------------------------------------- compare
 
 
-def _compare_payload(report: ComparisonReport) -> dict:
-    from dataclasses import asdict
-
-    totals = asdict(report)
-    levels = totals.pop("levels")
-    rows = [row for level in levels for row in level["rows"]]
-    for side in ("pincer", "baseline"):
-        totals[f"{side}_candidates"] = sum(row[f"{side}_candidates"] for row in rows)
-    return {"levels": levels, "totals": totals}
-
-
 def _render_compare_text(payload: dict) -> str:
     lines = []
     for level in payload["levels"]:
@@ -374,9 +360,8 @@ def cmd_compare(args) -> int:
     db, config, mined = _mine_levels(args, DescentPolicy.FREQUENT_PARENTS)
     baseline = ml_t2l1(db, config)
     report = compare(mined, baseline)
-    payload = _compare_payload(report)
-    _emit(args, payload, _render_compare_text)
-    return EXIT_OK if report.results_match else EXIT_RUNTIME
+    _emit(args, report, _render_compare_text)
+    return EXIT_OK if report["totals"]["results_match"] else EXIT_RUNTIME
 
 
 # -------------------------------------------------------- oracle-check

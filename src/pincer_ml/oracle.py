@@ -7,7 +7,7 @@ not circularity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LimitError
 from .transactions import LevelMatrix
@@ -15,8 +15,7 @@ from .transactions import LevelMatrix
 MAX_ORACLE_ITEMS = 24
 
 
-@dataclass(frozen=True, eq=False)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Every frequent itemset with its support, plus the maximal ones."""
 
     frequent: dict[tuple[int, ...], int]

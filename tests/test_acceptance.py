@@ -92,8 +92,9 @@ def test_criterion_5_pass_count_advantage(bookstore, level1, monkeypatch):
     ladder_sweeps.clear()
     config = LevelConfig((3, 2, 2), 3, FP)
     report = compare(mine_multilevel(bookstore, config), ml_t2l1(bookstore, config))
-    assert report.pincer_passes < report.baseline_passes
-    assert (report.pincer_passes, report.baseline_passes) == (9, 11)
+    totals = report["totals"]
+    assert totals["pincer_passes"] < totals["baseline_passes"]
+    assert (totals["pincer_passes"], totals["baseline_passes"]) == (9, 11)
     assert (len(search_sweeps), len(ladder_sweeps)) == (9, 11)
     print("PASS criterion 5: 3 vs 4 passes at level 1; 9 < 11 across levels")
 

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from conftest import GOLDEN
 from helpers import frequent_by_text, sweeps
 from pincer_ml import baselines
 from pincer_ml.baselines import apriori, compare, ml_t2l1
@@ -88,38 +90,38 @@ class TestCompare:
     def test_bookstore_pass_advantage(self, bookstore):
         config = LevelConfig((3, 2, 2), 3, FP)
         report = compare(mine_multilevel(bookstore, config), ml_t2l1(bookstore, config))
-        assert report.pincer_passes == 9
-        assert report.baseline_passes == 11
-        assert report.pincer_passes < report.baseline_passes
-        assert report.pincer_expansion_passes == 3
-        assert report.results_match
+        totals = report["totals"]
+        assert totals["pincer_passes"] == 9
+        assert totals["baseline_passes"] == 11
+        assert totals["pincer_passes"] < totals["baseline_passes"]
+        assert totals["pincer_expansion_passes"] == 3
+        assert totals["results_match"]
 
     def test_per_level_passes(self, bookstore):
         config = LevelConfig((3, 2, 2), 3, FP)
         report = compare(mine_multilevel(bookstore, config), ml_t2l1(bookstore, config))
-        assert [(l.pincer_passes, l.baseline_passes) for l in report.levels] == [
-            (3, 4), (3, 4), (3, 3),
-        ]
+        assert [
+            (l["pincer_passes"], l["baseline_passes"]) for l in report["levels"]
+        ] == [(3, 4), (3, 4), (3, 3)]
 
     def test_level1_candidate_totals(self, bookstore):
         config = LevelConfig((3, 2, 2), 3, FP)
         report = compare(mine_multilevel(bookstore, config), ml_t2l1(bookstore, config))
-        level1 = report.levels[0]
-        assert sum(r.pincer_candidates for r in level1.rows) == 34
-        assert sum(r.baseline_candidates for r in level1.rows) == 35
-        final = [r for r in level1.rows if r.k == 4][0]
+        rows = report["levels"][0]["rows"]
+        assert sum(r["pincer_candidates"] for r in rows) == 34
+        assert sum(r["baseline_candidates"] for r in rows) == 35
+        final = [r for r in rows if r["k"] == 4][0]
         # the ladder pays one more pass for the 4-set the border already settled
-        assert final.pincer_candidates == 0
-        assert final.baseline_candidates == 1
-        assert final.pincer_frequent == final.baseline_frequent == 1
+        assert final["pincer_candidates"] == 0
+        assert final["baseline_candidates"] == 1
+        assert final["pincer_frequent"] == final["baseline_frequent"] == 1
 
     def test_candidate_grand_totals(self, bookstore):
         config = LevelConfig((3, 2, 2), 3, FP)
         report = compare(mine_multilevel(bookstore, config), ml_t2l1(bookstore, config))
-        pincer_total = sum(r.pincer_candidates for l in report.levels for r in l.rows)
-        baseline_total = sum(
-            r.baseline_candidates for l in report.levels for r in l.rows
-        )
+        rows = [r for l in report["levels"] for r in l["rows"]]
+        pincer_total = sum(r["pincer_candidates"] for r in rows)
+        baseline_total = sum(r["baseline_candidates"] for r in rows)
         assert pincer_total == 163
         assert baseline_total == 165
         assert pincer_total <= baseline_total
@@ -128,9 +130,15 @@ class TestCompare:
         config = LevelConfig((3, 2, 2), 3, FP)
         mined = mine_multilevel(bookstore, config)
         report = compare(mined, ml_t2l1(bookstore, config))
-        for lr, comparison in zip(mined.levels, report.levels):
-            listed = sum(len(r.frequent_itemsets) for r in comparison.rows)
+        for lr, comparison in zip(mined.levels, report["levels"]):
+            listed = sum(len(r["frequent_itemsets"]) for r in comparison["rows"])
             assert listed == len(lr.frequent)
+
+    def test_is_the_cli_json_body(self, bookstore):
+        config = LevelConfig((3, 2, 2), 3, FP)
+        report = compare(mine_multilevel(bookstore, config), ml_t2l1(bookstore, config))
+        golden = (GOLDEN / "bookstore_compare_322.json").read_text()
+        assert json.loads(json.dumps(report)) == json.loads(golden)
 
     def test_mismatched_datasets_are_rejected(self, bookstore):
         config = LevelConfig((3, 2, 2), 3, FP)

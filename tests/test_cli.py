@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import pincer_ml
 from conftest import DATA, GOLDEN
-from pincer_ml import errors
+from pincer_ml import baselines, errors, oracle
 from pincer_ml.cli import _mine_json, _mine_text, main
 from pincer_ml.errors import MiningError
 from pincer_ml.gen import random_dataset
@@ -297,6 +297,18 @@ class TestCompare:
         assert code == 0
         assert "results match" in capsys.readouterr().out
 
+    def test_differing_results_exit_1(self, monkeypatch, capsys):
+        def drop_first_level1_set(db, config):
+            result = real(db, config)
+            first, *rest = result.levels
+            first = first._replace(frequent=first.frequent[1:])
+            return result._replace(levels=(first, *rest))
+
+        real = baselines.ml_t2l1
+        monkeypatch.setattr("pincer_ml.baselines.ml_t2l1", drop_first_level1_set)
+        assert run(*bookstore_args("compare"), "--format", "text") == 1
+        assert capsys.readouterr().out.splitlines()[-1].endswith("results DIFFER")
+
     def test_rising_thresholds_warn_once_at_the_caller(self):
         args = bookstore_args("compare")
         args[-1] = "2,3,2"
@@ -323,6 +335,16 @@ class TestOracleCheck:
         )
         assert code == 0
         assert "all levels match" in capsys.readouterr().out
+
+    def test_mismatch_exits_1(self, monkeypatch, capsys):
+        def drop_first_set(matrix, minsup):
+            result = real(matrix, minsup)
+            return result._replace(frequent=dict(list(result.frequent.items())[1:]))
+
+        real = oracle.brute_force
+        monkeypatch.setattr("pincer_ml.oracle.brute_force", drop_first_set)
+        assert run(*bookstore_args("oracle-check"), "--format", "text") == 1
+        assert "MISMATCH FOUND" in capsys.readouterr().out
 
     def test_oversized_vocabulary_exits_3(self, tmp_path, capsys):
         tax, trx = tmp_path / "t.csv", tmp_path / "x.csv"
@@ -523,6 +545,15 @@ class TestImportFootprint:
             "import sys, pincer_ml.cli; "
             "print(sorted(m for m in ('pincer_ml.baselines', 'pincer_ml.oracle', "
             "'pincer_ml.gen', 'hashlib', 'dataclasses', 'inspect') if m in sys.modules))"
+        )
+        done = python_with_src("-c", probe)
+        assert done.returncode == 0
+        assert done.stdout == "[]\n"
+
+    def test_baselines_and_oracle_leave_dataclasses_and_inspect_unloaded(self):
+        probe = (
+            "import sys, pincer_ml.baselines, pincer_ml.oracle; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
         )
         done = python_with_src("-c", probe)
         assert done.returncode == 0
