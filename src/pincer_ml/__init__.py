@@ -5,6 +5,10 @@ taxonomy level gets its own support threshold, the maximal frequent
 itemsets are located by a levelwise search that simultaneously shrinks
 an upper border, and the full frequent collection plus rules are
 recovered from that border afterwards.
+
+The Apriori baseline and the brute-force oracle are the independent
+evidence the engine is checked against, not part of it: import them
+from ``pincer_ml.baselines`` and ``pincer_ml.oracle``.
 """
 from .errors import MiningError
 from .itemsets import BorderState, Itemset
@@ -29,29 +33,7 @@ from .transactions import (
 
 __version__ = "0.1.0"
 
-# The baselines and the oracle are independent evidence, not part of the
-# engine: they load on first use, so ``import pincer_ml.cli`` skips them.
-_LAZY = {
-    "AprioriResult": "baselines",
-    "MlT2l1Result": "baselines",
-    "apriori": "baselines",
-    "compare": "baselines",
-    "ml_t2l1": "baselines",
-    "OracleResult": "oracle",
-    "brute_force": "oracle",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__name__}.{module}"), name)
-
 __all__ = [
-    "AprioriResult",
     "BorderState",
     "DescentPolicy",
     "FrequentSet",
@@ -61,23 +43,17 @@ __all__ = [
     "LevelMatrix",
     "LevelResult",
     "MiningError",
-    "MlT2l1Result",
     "MultiLevelResult",
-    "OracleResult",
     "PincerResult",
     "Rule",
     "Taxonomy",
     "TransactionDB",
-    "apriori",
-    "brute_force",
-    "compare",
     "count_support",
     "expand_frequent",
     "generate_rules",
     "load_taxonomy",
     "load_transactions",
     "mine_multilevel",
-    "ml_t2l1",
     "parse_code",
     "pincer_search",
     "project_to_level",

@@ -183,14 +183,14 @@ def parse_confidence(text: str) -> Fraction:
 
 
 def _mine_levels(args, policy: DescentPolicy):
-    """Load both CSVs, resolve ``--minsup``, mine; return (db, config, result)."""
+    """Load both CSVs, resolve ``--minsup``, mine; return (config, result)."""
     db = read_transactions_csv(args.transactions, read_taxonomy_csv(args.taxonomy))
     levels = db.taxonomy.total_levels
     minsup = parse_minsup(args.minsup, args.support_mode, db.n_transactions, levels)
     config = LevelConfig(
         minsup_per_level=minsup, total_levels=levels, descent_policy=policy
     )
-    return db, config, mine_multilevel(db, config)
+    return config, mine_multilevel(db, config)
 
 
 def _meta(command: str) -> dict:
@@ -310,7 +310,7 @@ def _mine_text(result: MultiLevelResult, rules_per_level, min_conf) -> str:
 
 def cmd_mine(args) -> int:
     min_conf = parse_confidence(args.min_conf)
-    _, _, result = _mine_levels(args, DescentPolicy(args.policy))
+    _, result = _mine_levels(args, DescentPolicy(args.policy))
     rules_per_level = [
         generate_rules(lr.frequent, min_conf) for lr in result.levels
     ]
@@ -357,8 +357,8 @@ def cmd_compare(args) -> int:
 
     # The baseline only knows frequent-parents descent, so the engine is
     # run with the same policy to keep the comparison apples to apples.
-    db, config, mined = _mine_levels(args, DescentPolicy.FREQUENT_PARENTS)
-    baseline = ml_t2l1(db, config)
+    config, mined = _mine_levels(args, DescentPolicy.FREQUENT_PARENTS)
+    baseline = ml_t2l1(mined.db, config)
     report = compare(mined, baseline)
     _emit(args, report, _render_compare_text)
     return EXIT_OK if report["totals"]["results_match"] else EXIT_RUNTIME
@@ -370,11 +370,11 @@ def cmd_compare(args) -> int:
 def cmd_oracle_check(args) -> int:
     from .oracle import brute_force
 
-    db, _, result = _mine_levels(args, DescentPolicy(args.policy))
+    _, result = _mine_levels(args, DescentPolicy(args.policy))
     levels = []
     all_match = True
     for lr in result.levels:
-        matrix = project_to_level(db, lr.level, frozenset(lr.vocabulary))
+        matrix = project_to_level(result.db, lr.level, frozenset(lr.vocabulary))
         oracle = brute_force(matrix, lr.minsup)
         engine_map = {fs.itemset: fs.support_count for fs in lr.frequent}
         engine_maximal = frozenset(lr.pincer.mfs)
@@ -421,8 +421,6 @@ def _write_csv(path: str, header: tuple[str, str], rows) -> None:
 def cmd_gen(args) -> int:
     from .gen import random_dataset, taxonomy_csv_rows, transaction_csv_rows
 
-    if args.rows < 0:
-        raise ConfigError(f"--rows must be non-negative, got {args.rows}")
     db = random_dataset(
         seed=args.seed,
         n_roots=args.roots,

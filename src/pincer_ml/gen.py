@@ -17,24 +17,34 @@ _ITEM_SYMBOLS = _LETTERS + string.ascii_lowercase
 MAX_TAXONOMY_LEAVES = 100_000
 
 
-def random_taxonomy(
-    rng: random.Random,
+def random_dataset(
+    seed: int,
     n_roots: int = 4,
     max_children: int = 3,
     total_levels: int = 3,
-) -> Taxonomy:
-    """Build a random hierarchy with 1..max_children fanout per node.
+    n_transactions: int = 20,
+    max_items: int = 6,
+) -> TransactionDB:
+    """A random taxonomy and transactions over its leaves, from one seed.
 
-    Growth stops with a ``ConfigError`` as soon as a level passes
-    ``MAX_TAXONOMY_LEAVES`` nodes, before the tree is built any further.
+    Each node has 1..max_children children, and each transaction is a
+    uniform sample of 1..max_items leaves.  Every parameter is checked
+    before the tree is grown, and each ``ConfigError`` names the ``gen``
+    flag that sets it.  Growth stops with a ``ConfigError`` as soon as a
+    level passes ``MAX_TAXONOMY_LEAVES`` nodes.
     """
     if not 1 <= n_roots <= 26:
         # codes are one symbol per level, so there are at most 26 roots
-        raise ConfigError(f"n_roots must be within 1..26, got {n_roots}")
+        raise ConfigError(f"--roots must be within 1..26, got {n_roots}")
     if not 1 <= max_children <= 9:
-        raise ConfigError(f"max_children must be within 1..9, got {max_children}")
+        raise ConfigError(f"--max-children must be within 1..9, got {max_children}")
     if total_levels < 1:
-        raise ConfigError(f"total_levels must be at least 1, got {total_levels}")
+        raise ConfigError(f"--levels must be at least 1, got {total_levels}")
+    if n_transactions < 0:
+        raise ConfigError(f"--rows must be non-negative, got {n_transactions}")
+    if max_items < 1:
+        raise ConfigError(f"--max-items must be at least 1, got {max_items}")
+    rng = random.Random(seed)
     prefixes = list(_LETTERS[:n_roots])
     for _ in range(1, total_levels):
         next_prefixes = []
@@ -47,43 +57,14 @@ def random_taxonomy(
                     "lower --levels, --max-children or --roots"
                 )
         prefixes = next_prefixes
-    records = [(leaf, f"item {leaf}") for leaf in prefixes]
-    return load_taxonomy(records, total_levels=total_levels)
-
-
-def random_transactions(
-    rng: random.Random,
-    taxonomy: Taxonomy,
-    n_transactions: int = 20,
-    max_items: int = 6,
-) -> TransactionDB:
-    """Draw each transaction as a uniform sample of 1..max_items leaves."""
-    if n_transactions < 0:
-        raise ConfigError(f"negative transaction count: {n_transactions}")
-    if max_items < 1:
-        raise ConfigError(f"max_items must be at least 1, got {max_items}")
-    leaves = taxonomy.codes_at_depth(taxonomy.total_levels)
+    taxonomy = load_taxonomy([(leaf, f"item {leaf}") for leaf in prefixes], total_levels)
+    leaves = taxonomy.codes_at_depth(total_levels)
     cap = min(max_items, len(leaves))
     records = []
     for tid in range(1, n_transactions + 1):
-        size = rng.randint(1, cap)
-        for code in sorted(rng.sample(leaves, size)):
+        for code in sorted(rng.sample(leaves, rng.randint(1, cap))):
             records.append((f"T{tid}", code.text))
     return load_transactions(records, taxonomy)
-
-
-def random_dataset(
-    seed: int,
-    n_roots: int = 4,
-    max_children: int = 3,
-    total_levels: int = 3,
-    n_transactions: int = 20,
-    max_items: int = 6,
-) -> TransactionDB:
-    """One-call taxonomy + transactions from a single seed."""
-    rng = random.Random(seed)
-    taxonomy = random_taxonomy(rng, n_roots, max_children, total_levels)
-    return random_transactions(rng, taxonomy, n_transactions, max_items)
 
 
 def random_matrix(

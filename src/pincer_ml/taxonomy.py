@@ -180,16 +180,13 @@ def _csv_records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[str, str
         raise MiningError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
-def read_taxonomy_csv(path: str | Path, total_levels: int | None = None) -> Taxonomy:
+def read_taxonomy_csv(path: str | Path) -> Taxonomy:
     """Load a taxonomy from a ``code,name`` CSV file.
 
-    When ``total_levels`` is omitted it is inferred from the width of
-    the first code in the file.
+    The number of levels is the width of the first code in the file.
     """
     path = Path(path)
     records = list(_csv_records(path, ("code", "name")))
-    if total_levels is None:
-        if not records:
-            raise MiningError(f"{path}: no records")
-        total_levels = len(records[0][0])
-    return load_taxonomy(records, total_levels)
+    if not records:
+        raise MiningError(f"{path}: no records")
+    return load_taxonomy(records, len(records[0][0]))

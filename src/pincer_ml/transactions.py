@@ -40,9 +40,6 @@ class TransactionDB:
     def n_transactions(self) -> int:
         return len(self.rows)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def fingerprint(self) -> str:
         """Stable digest of the dataset, used to guard comparisons."""
         return self._digest

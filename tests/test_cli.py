@@ -430,15 +430,17 @@ class TestGen:
             "--max-items", "0",
         )
         assert code == 2
-        assert "max_items must be at least 1, got 0" in capsys.readouterr().err
+        assert "--max-items must be at least 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--levels", "0", "total_levels must be at least 1, got 0"),
+            ("--levels", "0", "--levels must be at least 1, got 0"),
             ("--rows", "-1", "--rows must be non-negative, got -1"),
+            ("--roots", "27", "--roots must be within 1..26, got 27"),
+            ("--max-children", "0", "--max-children must be within 1..9, got 0"),
         ],
-        ids=["levels", "rows"],
+        ids=["levels", "rows", "roots", "max-children"],
     )
     def test_out_of_range_size_exits_2(self, tmp_path, capsys, flag, value, message):
         code = run(
@@ -450,6 +452,43 @@ class TestGen:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    def test_flags_are_checked_before_the_tree_grows(self, tmp_path, capsys):
+        code = run(
+            "gen",
+            "--taxonomy", str(tmp_path / "t.csv"),
+            "--transactions", str(tmp_path / "x.csv"),
+            "--levels", "40",
+            "--max-items", "0",
+        )
+        assert code == 2
+        assert "--max-items must be at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, fingerprint",
+        [
+            ([], "5ae809bd18bde1f409fc3b6f025b2ee17ca236c1171f7ef9b351979900727b4d"),
+            (
+                ["--seed", "0", "--levels", "4", "--rows", "50"],
+                "faecf529f2baf66b990b217b1dcb2534d3d00a06889404058371cd4f82b87899",
+            ),
+            (
+                ["--seed", "7", "--levels", "4", "--rows", "50"],
+                "2c2ea676779789e7e7cc01b96ad13fbc63a20c5710d74fa9623ea8cfbfc892ac",
+            ),
+        ],
+        ids=["defaults", "seed0-levels4", "seed7-levels4"],
+    )
+    def test_fingerprint_is_pinned(self, tmp_path, capsys, flags, fingerprint):
+        # A change to the draws, or to their order, changes every dataset.
+        code = run(
+            "gen",
+            "--taxonomy", str(tmp_path / "t.csv"),
+            "--transactions", str(tmp_path / "x.csv"),
+            *flags,
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["fingerprint"] == fingerprint
 
     def test_generated_data_mines_cleanly(self, tmp_path):
         tax, trx = tmp_path / "t.csv", tmp_path / "x.csv"
@@ -575,10 +614,14 @@ class TestImportFootprint:
     def test_every_public_name_resolves(self):
         for name in pincer_ml.__all__:
             assert getattr(pincer_ml, name) is not None
-        from pincer_ml import brute_force, ml_t2l1
-
-        assert ml_t2l1.__module__ == "pincer_ml.baselines"
-        assert brute_force.__module__ == "pincer_ml.oracle"
+        evidence = {
+            baselines: ("AprioriResult", "MlT2l1Result", "apriori", "compare", "ml_t2l1"),
+            oracle: ("OracleResult", "brute_force"),
+        }
+        for module, names in evidence.items():
+            for name in names:
+                assert getattr(module, name).__module__ == module.__name__
+                assert not hasattr(pincer_ml, name), name
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -1,12 +1,11 @@
 import itertools
-import random
 import string
 import sys
 
 import pytest
 
 from pincer_ml.errors import ConfigError, MiningError
-from pincer_ml.gen import random_dataset, random_taxonomy
+from pincer_ml.gen import random_dataset
 from pincer_ml.taxonomy import (
     ItemCode,
     generalize,
@@ -195,12 +194,6 @@ class TestReadCsv:
         tax = read_taxonomy_csv(path)
         assert tax.total_levels == 4
 
-    def test_explicit_width_wins(self, tmp_path):
-        path = tmp_path / "tax.csv"
-        path.write_text("code,name\nA11,x\n")
-        tax = read_taxonomy_csv(path, total_levels=3)
-        assert tax.total_levels == 3
-
     def test_empty_file(self, tmp_path):
         path = tmp_path / "tax.csv"
         path.write_text("code,name\n")
@@ -217,9 +210,9 @@ def test_item_code_is_hashable_value():
 
 @pytest.mark.parametrize("total_levels", [0, -1])
 def test_random_taxonomy_refuses_fewer_than_one_level(total_levels):
-    message = f"total_levels must be at least 1, got {total_levels}"
+    message = f"--levels must be at least 1, got {total_levels}"
     with pytest.raises(ConfigError, match=message):
-        random_taxonomy(random.Random(0), total_levels=total_levels)
+        random_dataset(0, total_levels=total_levels)
 
 
 def reference_path(code):

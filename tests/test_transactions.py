@@ -63,7 +63,6 @@ class TestLoadTransactions:
 class TestBookstoreDb:
     def test_shape(self, bookstore):
         assert bookstore.n_transactions == 15
-        assert len(bookstore) == 15
 
     def test_first_and_last_basket(self, bookstore):
         tid, items = bookstore.tids[0], leaves_of(bookstore, bookstore.rows[0])
