@@ -122,19 +122,23 @@ def build_parser() -> _Parser:
 # prints by default, so every accepted value can be reported.  An
 # exponent beyond MAX_EXPONENT is refused before ``Fraction`` builds
 # ``10**exponent``: ``Fraction`` reads at most 2 * MAX_DIGITS mantissa
-# digits, so such an entry has too many digits anyway.
+# digits, so such an entry has too many digits anyway.  ``Fraction`` reads
+# digit-group underscores from Python 3.11 on only, so an entry holding
+# ``_`` is refused on every version.
 MAX_DIGITS = 4300
 MAX_EXPONENT = 3 * MAX_DIGITS
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*\Z")
 
 
 def _parse_entry(tok: str, flag: str) -> Fraction:
     """One ``--minsup`` or ``--min-conf`` entry as an exact value."""
     match = _EXPONENT.search(tok)
-    exponent = match[1].replace("_", "").lstrip("0") if match else ""
+    exponent = match[1].lstrip("0") if match else ""
     if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
         raise ConfigError(f"{flag} entry {tok!r} has an exponent beyond {MAX_EXPONENT}")
     try:
+        if "_" in tok:
+            raise ValueError(tok)
         value = Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"bad {flag} entry {tok!r}") from None

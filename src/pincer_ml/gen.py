@@ -57,7 +57,7 @@ def random_dataset(
                     "lower --levels, --max-children or --roots"
                 )
         prefixes = next_prefixes
-    taxonomy = load_taxonomy([(leaf, f"item {leaf}") for leaf in prefixes], total_levels)
+    taxonomy = load_taxonomy([(leaf, f"item {leaf}") for leaf in prefixes])
     leaves = taxonomy.codes_at_depth(total_levels)
     cap = min(max_items, len(leaves))
     records = []

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Mapping
 from .errors import MiningError
 
 WILDCARD = "*"
-DEFAULT_LEVELS = 3
 
 
 class ItemCode(str):
@@ -37,7 +36,7 @@ class ItemCode(str):
         return str(self)
 
 
-def parse_code(text: str, total_levels: int = DEFAULT_LEVELS) -> ItemCode:
+def parse_code(text: str, total_levels: int) -> ItemCode:
     """Parse the fixed-width textual form of a code."""
     if len(text) != total_levels:
         raise MiningError(
@@ -98,11 +97,10 @@ class Taxonomy:
         return self._by_depth[depth]
 
 
-def load_taxonomy(
-    records: Iterable[tuple[str, str]], total_levels: int = DEFAULT_LEVELS
-) -> Taxonomy:
+def load_taxonomy(records: Iterable[tuple[str, str]]) -> Taxonomy:
     """Build a taxonomy from (code text, name) records.
 
+    The number of levels is the width of the first record's code.
     Records may name interior nodes as well as leaves.  Ancestors of
     every leaf are synthesized automatically; explicitly named interior
     nodes must have at least one leaf beneath them.
@@ -110,9 +108,9 @@ def load_taxonomy(
     names: dict[ItemCode, str] = {}
     leaves: set[ItemCode] = set()
     interior: list[tuple[int, ItemCode]] = []
-    count = 0
     for position, (text, name) in enumerate(records, start=1):
-        count += 1
+        if position == 1:
+            total_levels = len(text)
         try:
             code = parse_code(text, total_levels)
         except MiningError as exc:
@@ -124,7 +122,7 @@ def load_taxonomy(
             leaves.add(code)
         else:
             interior.append((position, code))
-    if count == 0:
+    if not names:
         raise MiningError("no records")
     if not leaves:
         raise MiningError("no fully specified codes")
@@ -145,39 +143,48 @@ def load_taxonomy(
     return Taxonomy(names, total_levels)
 
 
-def _check_header(row: list[str] | None, expected: tuple[str, ...], path: Path) -> None:
-    got = tuple(cell.strip().lower() for cell in row) if row else ()
-    if got != expected:
-        raise MiningError(
-            f"{path}: expected header {','.join(expected)!r}, got {row!r}"
-        )
+def _load_csv(path: str | Path, header: tuple[str, str], load):
+    """Run ``load`` over the (key, value) rows of a UTF-8 CSV file.
 
+    The file opens with ``header``, and blank rows are skipped.  A
+    ``MiningError`` from reading the file or from ``load`` is raised
+    again once, with the file name in front, and with the line number
+    too while a row is being read.
+    """
+    path = Path(path)
+    reader = None  # the csv reader, from its header to its last row
 
-def _csv_records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[str, str]]:
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # exc.object is what was decoded: ``data`` without any BOM.
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise MiningError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        _check_header(next(reader, None), header, path)
-        for row in reader:
+    def rows(lines) -> Iterator[tuple[str, str]]:
+        nonlocal reader
+        for row in lines:
             if not row:
                 continue
             if len(row) != len(header):
-                raise MiningError(
-                    f"{path}, line {reader.line_num}: expected "
-                    f"{len(header)} cells, got {len(row)}"
-                )
+                raise MiningError(f"expected {len(header)} cells, got {len(row)}")
             key = row[0].strip()
             if not key:
-                raise MiningError(f"{path}, line {reader.line_num}: blank {header[0]}")
+                raise MiningError(f"blank {header[0]}")
             yield key, row[1].strip()
-    except csv.Error as exc:
-        raise MiningError(f"{path}, line {reader.line_num}: {exc}") from exc
+        reader = None
+
+    line = 0
+    try:
+        try:
+            text = path.read_bytes().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            # exc.object is what was decoded: the bytes without any BOM.
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise MiningError(f"not UTF-8 ({exc.reason})") from exc
+        reader = csv.reader(io.StringIO(text, newline=""))
+        first = next(reader, None)
+        if tuple(cell.strip().lower() for cell in first or ()) != header:
+            reader = None
+            raise MiningError(f"expected header {','.join(header)!r}, got {first!r}")
+        return load(rows(reader))
+    except (csv.Error, MiningError) as exc:
+        line = reader.line_num if reader else line
+        where = f"{path}, line {line}" if line else path
+        raise MiningError(f"{where}: {exc}") from exc
 
 
 def read_taxonomy_csv(path: str | Path) -> Taxonomy:
@@ -185,8 +192,4 @@ def read_taxonomy_csv(path: str | Path) -> Taxonomy:
 
     The number of levels is the width of the first code in the file.
     """
-    path = Path(path)
-    records = list(_csv_records(path, ("code", "name")))
-    if not records:
-        raise MiningError(f"{path}: no records")
-    return load_taxonomy(records, len(records[0][0]))
+    return _load_csv(path, ("code", "name"), load_taxonomy)

@@ -13,8 +13,7 @@ from typing import Collection, Iterable, Mapping, NoReturn
 
 from .errors import MiningError
 from .itemsets import Itemset, bits, to_mask
-from .taxonomy import ItemCode, Taxonomy, generalize
-from .taxonomy import _csv_records
+from .taxonomy import ItemCode, Taxonomy, _load_csv, generalize
 
 
 class TransactionDB:
@@ -109,7 +108,7 @@ def _reject_item(text: str, taxonomy: Taxonomy) -> NoReturn:
 
 def read_transactions_csv(path: str | Path, taxonomy: Taxonomy) -> TransactionDB:
     """Load transactions from a ``tid,item`` CSV file."""
-    return load_transactions(_csv_records(Path(path), ("tid", "item")), taxonomy)
+    return _load_csv(path, ("tid", "item"), lambda rows: load_transactions(rows, taxonomy))
 
 
 class LevelMatrix:

@@ -48,7 +48,6 @@ def mine_args(*extra, out=None):
 
 
 SRC = Path(pincer_ml.__file__).resolve().parents[1]
-SCRIPTS = DATA.parent / "scripts"
 
 
 def python_with_src(*argv):
@@ -632,22 +631,16 @@ CONSOLE_SCRIPT = "from pincer_ml.cli import app; app()"
 
 
 class TestEntryPoints:
-    """The console entry point and the scripts, each in a fresh interpreter."""
+    """The console entry point, each run in a fresh interpreter."""
 
     @pytest.mark.parametrize(
-        "argv, golden",
-        [
-            ([SCRIPTS / "mine_bookstore.py"], "bookstore_mine_322.txt"),
-            ([SCRIPTS / "run_comparison.py"], "bookstore_compare_322.txt"),
-            (
-                ["-c", CONSOLE_SCRIPT, *bookstore_args("mine"), "--format", "text"],
-                "bookstore_mine_322.txt",
-            ),
-        ],
-        ids=["mine_bookstore", "run_comparison", "app"],
+        "command, golden",
+        [("mine", "bookstore_mine_322.txt"), ("compare", "bookstore_compare_322.txt")],
+        ids=["app", "app_compare"],
     )
-    def test_prints_the_golden_report(self, argv, golden):
-        done = python_with_src(*argv)
+    def test_prints_the_golden_report(self, command, golden):
+        args = bookstore_args(command)
+        done = python_with_src("-c", CONSOLE_SCRIPT, *args, "--format", "text")
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
 
@@ -693,6 +686,18 @@ class TestExitCodes:
     def test_bad_min_conf(self):
         assert run(*mine_args(), "--min-conf", "0") == 2
         assert run(*mine_args(), "--min-conf", "nope") == 2
+
+    @pytest.mark.parametrize(
+        "flag, entry",
+        [("--minsup", "1_0"), ("--minsup", "1e1_0"), ("--min-conf", "0.5_0")],
+    )
+    def test_underscores_exit_2_on_every_python(self, capsys, flag, entry):
+        # Fraction reads "1_0" as 10 from Python 3.11 on, but not before.
+        if flag == "--minsup":
+            assert run(*mine_args()[:-1], f"{entry},2,2") == 2
+        else:
+            assert run(*mine_args(), flag, entry) == 2
+        assert capsys.readouterr().err == f"pincer-ml: bad {flag} entry '{entry}'\n"
 
     def test_huge_exponents_exit_2(self, capsys):
         assert run(*mine_args(), "--min-conf", "1e-5000") == 2
@@ -750,7 +755,7 @@ class TestExitCodes:
         )
         assert code == 1
 
-    def test_bad_transaction_item(self, tmp_path):
+    def test_bad_transaction_item(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("tid,item\nT1,Z99\n")
         code = run(
@@ -760,6 +765,9 @@ class TestExitCodes:
             "--minsup", "3,2,2",
         )
         assert code == 1
+        assert capsys.readouterr().err == (
+            f"pincer-ml: {bad}, line 2: record 1: 'Z99' is not a leaf of the taxonomy\n"
+        )
 
     def test_wide_maximal_set_exits_3(self, tmp_path, capsys):
         # Every row holds all 13 items, so one 13-item maximal set has

@@ -17,38 +17,38 @@ from pincer_ml.taxonomy import (
 
 class TestParseCode:
     def test_leaf(self):
-        code = parse_code("C12")
+        code = parse_code("C12", 3)
         assert code == "C12"
         assert code.depth == 3
         assert code.text == "C12"
 
     def test_interior(self):
-        assert parse_code("C1*").depth == 2
-        assert parse_code("C**").depth == 1
+        assert parse_code("C1*", 3).depth == 2
+        assert parse_code("C**", 3).depth == 1
 
     def test_padding_roundtrip(self):
         for text in ("A**", "B1*", "D12"):
-            assert parse_code(text).text == text
+            assert parse_code(text, 3).text == text
 
     def test_wrong_width(self):
         with pytest.raises(MiningError, match="expected 3 symbols, got 2"):
-            parse_code("C1")
+            parse_code("C1", 3)
         with pytest.raises(MiningError, match="expected 3 symbols, got 4"):
-            parse_code("C123")
+            parse_code("C123", 3)
 
     def test_wildcard_must_be_suffix(self):
         with pytest.raises(MiningError, match=r"branch symbol after '\*'"):
-            parse_code("C*2")
+            parse_code("C*2", 3)
 
     def test_all_wildcards(self):
         with pytest.raises(MiningError, match="is all wildcards"):
-            parse_code("***")
+            parse_code("***", 3)
 
     def test_non_alphanumeric(self):
         with pytest.raises(MiningError, match="symbol '-' is not alphanumeric"):
-            parse_code("C-2")
+            parse_code("C-2", 3)
         with pytest.raises(MiningError, match="symbol ' ' is not alphanumeric"):
-            parse_code("C 2")
+            parse_code("C 2", 3)
 
     def test_custom_width(self):
         code = parse_code("AB1*", total_levels=4)
@@ -57,39 +57,39 @@ class TestParseCode:
 
 class TestGeneralize:
     def test_chain(self):
-        leaf = parse_code("C12")
+        leaf = parse_code("C12", 3)
         assert generalize(leaf, 2).text == "C1*"
         assert generalize(leaf, 1).text == "C**"
         assert generalize(leaf, 3) == leaf
 
     def test_out_of_range(self):
         with pytest.raises(MiningError, match=r"'C12' \(depth 3\) to level 0"):
-            generalize(parse_code("C12"), 0)
+            generalize(parse_code("C12", 3), 0)
         with pytest.raises(MiningError, match=r"'C1\*' \(depth 2\) to level 3"):
-            generalize(parse_code("C1*"), 3)
+            generalize(parse_code("C1*", 3), 3)
 
 
 class TestItemCode:
     def test_sorts_by_text(self):
-        codes = [parse_code(t) for t in ("D12", "C**", "C1*", "C11")]
+        codes = [parse_code(t, 3) for t in ("D12", "C**", "C1*", "C11")]
         assert [c.text for c in sorted(codes)] == ["C**", "C1*", "C11", "D12"]
 
     def test_str(self):
-        assert str(parse_code("E1*")) == "E1*"
+        assert str(parse_code("E1*", 3)) == "E1*"
 
 
 class TestLoadTaxonomy:
     def test_synthesizes_ancestors(self):
         tax = load_taxonomy([("A11", "first"), ("A12", "second")])
         assert len(tax.codes_at_depth(3)) == 2
-        assert parse_code("A1*") in tax.names
-        assert parse_code("A**") in tax.names
-        assert tax.names[parse_code("A1*")] == "A1*"
+        assert parse_code("A1*", 3) in tax.names
+        assert parse_code("A**", 3) in tax.names
+        assert tax.names[parse_code("A1*", 3)] == "A1*"
 
     def test_interior_names_are_kept(self):
         tax = load_taxonomy([("A**", "top"), ("A11", "leaf")])
-        assert tax.names[parse_code("A**")] == "top"
-        assert tax.names[parse_code("A11")] == "leaf"
+        assert tax.names[parse_code("A**", 3)] == "top"
+        assert tax.names[parse_code("A11", 3)] == "leaf"
 
     def test_duplicate_code(self):
         with pytest.raises(MiningError, match="record 2: duplicate code 'A11'"):
@@ -106,6 +106,11 @@ class TestLoadTaxonomy:
     def test_no_leaves(self):
         with pytest.raises(MiningError, match="^no fully specified codes$"):
             load_taxonomy([("A**", "only interior")])
+
+    def test_width_comes_from_the_first_code(self):
+        tax = load_taxonomy([("AB12", "x")])
+        assert tax.total_levels == 4
+        assert [c.text for c in tax.codes_at_depth(2)] == ["AB**"]
 
     def test_bad_record_is_positioned(self):
         with pytest.raises(MiningError, match="record 2: code 'B1': expected 3"):
@@ -160,28 +165,45 @@ class TestBookstoreCatalog:
             bookstore_taxonomy.codes_at_depth(4)
 
     def test_names(self, bookstore_taxonomy):
-        assert bookstore_taxonomy.names[parse_code("A**")] == "Story book"
-        assert bookstore_taxonomy.names[parse_code("I11")] == "S. Chand"
+        assert bookstore_taxonomy.names[parse_code("A**", 3)] == "Story book"
+        assert bookstore_taxonomy.names[parse_code("I11", 3)] == "S. Chand"
         assert (
-            bookstore_taxonomy.names[parse_code("G1*")]
+            bookstore_taxonomy.names[parse_code("G1*", 3)]
             == "Elective Sub. English for Bsc"
         )
 
     def test_contains(self, bookstore_taxonomy):
-        assert parse_code("E12") in bookstore_taxonomy.names
-        assert parse_code("E1*") in bookstore_taxonomy.names
-        assert parse_code("Z**") not in bookstore_taxonomy.names
+        assert parse_code("E12", 3) in bookstore_taxonomy.names
+        assert parse_code("E1*", 3) in bookstore_taxonomy.names
+        assert parse_code("Z**", 3) not in bookstore_taxonomy.names
 
 
 class TestReadCsv:
     def test_reads_bookstore(self, bookstore_taxonomy):
         assert bookstore_taxonomy.total_levels == 3
 
-    def test_bad_header(self, tmp_path):
+    def error(self, tmp_path, text):
         path = tmp_path / "tax.csv"
-        path.write_text("id,label\nA11,x\n")
-        with pytest.raises(MiningError, match="expected header 'code,name'"):
+        path.write_text(text)
+        with pytest.raises(MiningError) as exc:
             read_taxonomy_csv(path)
+        return str(exc.value).replace(str(path), "tax.csv")
+
+    def test_bad_header(self, tmp_path):
+        message = self.error(tmp_path, "id,label\nA11,x\n")
+        assert message == "tax.csv: expected header 'code,name', got ['id', 'label']"
+
+    def test_missing_header(self, tmp_path):
+        message = self.error(tmp_path, "")
+        assert message == "tax.csv: expected header 'code,name', got None"
+
+    def test_duplicate_code_names_its_line(self, tmp_path):
+        message = self.error(tmp_path, "code,name\nA11,x\nA11,y\n")
+        assert message == "tax.csv, line 3: record 2: duplicate code 'A11'"
+
+    def test_orphan_is_found_after_the_last_line(self, tmp_path):
+        message = self.error(tmp_path, "code,name\nA11,x\nB1*,orphan\n")
+        assert message == "tax.csv: record 2: 'B1*' has no leaf beneath it"
 
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "tax.csv"
@@ -195,15 +217,12 @@ class TestReadCsv:
         assert tax.total_levels == 4
 
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "tax.csv"
-        path.write_text("code,name\n")
-        with pytest.raises(MiningError, match="tax.csv: no records$"):
-            read_taxonomy_csv(path)
+        assert self.error(tmp_path, "code,name\n") == "tax.csv: no records"
 
 
 def test_item_code_is_hashable_value():
     a = ItemCode("C1*")
-    b = parse_code("C1*")
+    b = parse_code("C1*", 3)
     assert a == b
     assert hash(a) == hash(b)
 

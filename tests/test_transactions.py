@@ -11,7 +11,7 @@ from pincer_ml import transactions
 from pincer_ml.errors import ConfigError, MiningError
 from pincer_ml.itemsets import to_mask
 from pincer_ml.gen import random_dataset, random_matrix, transaction_csv_rows
-from pincer_ml.taxonomy import _csv_records, generalize, load_taxonomy, parse_code
+from pincer_ml.taxonomy import _load_csv, generalize, load_taxonomy, parse_code
 from pincer_ml.transactions import (
     count_support,
     load_transactions,
@@ -36,7 +36,7 @@ class TestLoadTransactions:
         )
         assert db.tids == ("T2", "T1")
         assert leaves_of(db, db.rows[0]) == frozenset(
-            {parse_code("A11"), parse_code("B11")}
+            {parse_code("A11", 3), parse_code("B11", 3)}
         )
 
     def test_duplicates_collapse(self):
@@ -126,7 +126,7 @@ class TestLoadAgainstReference:
     def test_bookstore(self, bookstore_taxonomy):
         from conftest import DATA
 
-        records = list(_csv_records(DATA / "bookstore.csv", ("tid", "item")))
+        records = _load_csv(DATA / "bookstore.csv", ("tid", "item"), list)
         self.check(records, bookstore_taxonomy)
 
     @pytest.mark.parametrize("seed", range(30))
@@ -210,7 +210,7 @@ class TestProjection:
         assert len(matrix.vocabulary) == 16
 
     def test_filter_restricts_columns(self, bookstore):
-        keep = frozenset({parse_code("C1*"), parse_code("D1*")})
+        keep = frozenset({parse_code("C1*", 3), parse_code("D1*", 3)})
         matrix = project_to_level(bookstore, 2, keep)
         assert [c.text for c in matrix.vocabulary] == ["C1*", "D1*"]
         # transactions without C1*/D1* still count
@@ -219,7 +219,7 @@ class TestProjection:
 
     def test_filter_depth_must_match(self, bookstore):
         with pytest.raises(MiningError, match=r"'C\*\*' has depth 1, expected 2"):
-            project_to_level(bookstore, 2, frozenset({parse_code("C**")}))
+            project_to_level(bookstore, 2, frozenset({parse_code("C**", 3)}))
 
     def test_level_out_of_range(self, bookstore):
         with pytest.raises(MiningError, match="level 0 outside 1..3"):
@@ -299,7 +299,7 @@ class TestLeafColumns:
 
     def test_leaves_that_never_occur_are_absent(self):
         db = load_transactions([("T1", "A11"), ("T2", "A11")], TINY)
-        assert db.leaf_columns == {parse_code("A11"): 0b11}
+        assert db.leaf_columns == {parse_code("A11", 3): 0b11}
 
     def test_empty_db(self):
         assert load_transactions([], TINY).leaf_columns == {}
