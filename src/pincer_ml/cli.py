@@ -8,9 +8,12 @@ compare       run the bidirectional engine and the levelwise baseline
 oracle-check  cross-check the engine against exhaustive enumeration
 gen           emit a seeded random taxonomy/transactions CSV pair
 
+Each command maps its parsed arguments to ``(report text, ok)``;
+``main`` writes the text to ``--out`` (UTF-8) or stdout, then exits.
 Exit codes: 0 success, 1 runtime failure (bad data, missing file,
-mismatched results), 2 bad invocation, 3 exact-computation size limit.
-Each error class in ``errors`` carries its code as ``exit_code``.
+unwritable report, mismatched results once the report is written),
+2 bad invocation, 3 exact-computation size limit.  Each error class in
+``errors`` carries its code as ``exit_code``.
 """
 from __future__ import annotations
 
@@ -41,9 +44,6 @@ from .transactions import project_to_level, read_transactions_csv
 
 SUPPORT_MODES = ("absolute", "fractional")
 FORMATS = ("json", "text")
-
-EXIT_OK = 0
-EXIT_RUNTIME = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,16 +90,21 @@ def build_parser() -> _Parser:
         default="0.5",
         help="minimum rule confidence, a number in (0, 1]",
     )
+    p_mine.set_defaults(run=cmd_mine)
 
     p_cmp = sub.add_parser(
         "compare", help="bidirectional engine vs. levelwise baseline"
     )
     add_io(p_cmp, with_policy=False)
+    # The baseline only knows frequent-parents descent, so the engine is
+    # run with the same policy to keep the comparison apples to apples.
+    p_cmp.set_defaults(run=cmd_compare, policy=DescentPolicy.FREQUENT_PARENTS.value)
 
     p_chk = sub.add_parser(
         "oracle-check", help="verify engine output by exhaustive enumeration"
     )
     add_io(p_chk)
+    p_chk.set_defaults(run=cmd_oracle_check)
 
     p_gen = sub.add_parser("gen", help="generate a random dataset")
     p_gen.add_argument("--taxonomy", required=True, help="taxonomy CSV to write")
@@ -114,6 +119,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--max-items", type=int, default=6)
     p_gen.add_argument("--format", choices=FORMATS, default="json")
     p_gen.add_argument("--out", help="write the summary here instead of stdout")
+    p_gen.set_defaults(run=cmd_gen)
     return parser
 
 
@@ -186,14 +192,12 @@ def parse_confidence(text: str) -> Fraction:
     return value
 
 
-def _mine_levels(args, policy: DescentPolicy):
+def _mine_levels(args):
     """Load both CSVs, resolve ``--minsup``, mine; return (config, result)."""
     db = read_transactions_csv(args.transactions, read_taxonomy_csv(args.taxonomy))
     levels = db.taxonomy.total_levels
     minsup = parse_minsup(args.minsup, args.support_mode, db.n_transactions, levels)
-    config = LevelConfig(
-        minsup_per_level=minsup, total_levels=levels, descent_policy=policy
-    )
+    config = LevelConfig(minsup, levels, DescentPolicy(args.policy))
     return config, mine_multilevel(db, config)
 
 
@@ -206,6 +210,14 @@ def _meta(command: str) -> dict:
         "command": command,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
+
+
+def _report(args, body: dict, render_text) -> str:
+    """``body`` under ``meta`` as one line of sorted-key JSON, or as text."""
+    if args.format == "text":
+        return render_text(body)
+    # No indent: CPython's C encoder only runs when indent is None.
+    return json.dumps({"meta": _meta(args.command), **body}, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------- mine
@@ -312,18 +324,13 @@ def _mine_text(result: MultiLevelResult, rules_per_level, min_conf) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args) -> tuple[str, bool]:
     min_conf = parse_confidence(args.min_conf)
-    _, result = _mine_levels(args, DescentPolicy(args.policy))
-    rules_per_level = [
-        generate_rules(lr.frequent, min_conf) for lr in result.levels
-    ]
-    if args.format == "json":
-        text = _mine_json(_meta(args.command), result, rules_per_level, min_conf)
-    else:
-        text = _mine_text(result, rules_per_level, min_conf)
-    _write(args, text)
-    return EXIT_OK
+    _, result = _mine_levels(args)
+    rules_per_level = [generate_rules(lr.frequent, min_conf) for lr in result.levels]
+    if args.format == "text":
+        return _mine_text(result, rules_per_level, min_conf), True
+    return _mine_json(_meta(args.command), result, rules_per_level, min_conf), True
 
 
 # ------------------------------------------------------------- compare
@@ -356,34 +363,40 @@ def _render_compare_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[str, bool]:
     from .baselines import compare, ml_t2l1
 
-    # The baseline only knows frequent-parents descent, so the engine is
-    # run with the same policy to keep the comparison apples to apples.
-    config, mined = _mine_levels(args, DescentPolicy.FREQUENT_PARENTS)
-    baseline = ml_t2l1(mined.db, config)
-    report = compare(mined, baseline)
-    _emit(args, report, _render_compare_text)
-    return EXIT_OK if report["totals"]["results_match"] else EXIT_RUNTIME
+    config, mined = _mine_levels(args)
+    report = compare(mined, ml_t2l1(mined.db, config))
+    return _report(args, report, _render_compare_text), report["totals"]["results_match"]
 
 
 # -------------------------------------------------------- oracle-check
 
 
-def cmd_oracle_check(args) -> int:
+def _render_oracle_text(body: dict) -> str:
+    rows = [
+        f"level {lvl['level']}: engine {lvl['engine_frequent']} frequent / "
+        f"{lvl['engine_maximal']} maximal, oracle {lvl['oracle_frequent']} / "
+        f"{lvl['oracle_maximal']} -> "
+        + ("ok" if lvl["match"] else "MISMATCH")
+        for lvl in body["levels"]
+    ]
+    verdict = "all levels match" if body["totals"]["match"] else "MISMATCH FOUND"
+    return "\n".join(rows + [verdict]) + "\n"
+
+
+def cmd_oracle_check(args) -> tuple[str, bool]:
     from .oracle import brute_force
 
-    _, result = _mine_levels(args, DescentPolicy(args.policy))
+    _, result = _mine_levels(args)
     levels = []
-    all_match = True
     for lr in result.levels:
         matrix = project_to_level(result.db, lr.level, frozenset(lr.vocabulary))
         oracle = brute_force(matrix, lr.minsup)
         engine_map = {fs.itemset: fs.support_count for fs in lr.frequent}
         engine_maximal = frozenset(lr.pincer.mfs)
         match = engine_map == oracle.frequent and engine_maximal == oracle.maximal
-        all_match = all_match and match
         levels.append(
             {
                 "level": lr.level,
@@ -395,21 +408,9 @@ def cmd_oracle_check(args) -> int:
                 "match": match,
             }
         )
-    payload = {"levels": levels, "totals": {"match": all_match}}
-
-    def render(p):
-        rows = [
-            f"level {lvl['level']}: engine {lvl['engine_frequent']} frequent / "
-            f"{lvl['engine_maximal']} maximal, oracle {lvl['oracle_frequent']} / "
-            f"{lvl['oracle_maximal']} -> "
-            + ("ok" if lvl["match"] else "MISMATCH")
-            for lvl in p["levels"]
-        ]
-        verdict = "all levels match" if p["totals"]["match"] else "MISMATCH FOUND"
-        return "\n".join(rows + [verdict]) + "\n"
-
-    _emit(args, payload, render)
-    return EXIT_OK if all_match else EXIT_RUNTIME
+    ok = all(level["match"] for level in levels)
+    body = {"levels": levels, "totals": {"match": ok}}
+    return _report(args, body, _render_oracle_text), ok
 
 
 # ----------------------------------------------------------------- gen
@@ -422,7 +423,7 @@ def _write_csv(path: str, header: tuple[str, str], rows) -> None:
         writer.writerows(rows)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[str, bool]:
     from .gen import random_dataset, taxonomy_csv_rows, transaction_csv_rows
 
     db = random_dataset(
@@ -435,7 +436,7 @@ def cmd_gen(args) -> int:
     )
     _write_csv(args.taxonomy, ("code", "name"), taxonomy_csv_rows(db.taxonomy))
     _write_csv(args.transactions, ("tid", "item"), transaction_csv_rows(db))
-    payload = {
+    body = {
         "seed": args.seed,
         "taxonomy": args.taxonomy,
         "transactions": args.transactions,
@@ -450,47 +451,30 @@ def cmd_gen(args) -> int:
             f"{p['rows']} transactions to {p['transactions']} (seed {p['seed']})\n"
         )
 
-    _emit(args, payload, render)
-    return EXIT_OK
+    return _report(args, body, render), True
 
 
 # ---------------------------------------------------------------- main
 
 
-def _emit(args, payload: dict, render_text) -> None:
-    if args.format == "json":
-        report = {"meta": _meta(args.command), **payload}
-        # No indent: CPython's C encoder only runs when indent is None.
-        text = json.dumps(report, sort_keys=True) + "\n"
-    else:
-        text = render_text(payload)
-    _write(args, text)
-
-
-def _write(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-_DISPATCH = {
-    "mine": cmd_mine,
-    "compare": cmd_compare,
-    "oracle-check": cmd_oracle_check,
-    "gen": cmd_gen,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command, write its report, and return the exit code."""
     try:
-        args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        args = build_parser().parse_args(argv)
+        text, ok = args.run(args)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            try:
+                sys.stdout.write(text)
+            except UnicodeEncodeError:
+                # The whole text is encoded before any of it is written.
+                raise MiningError("stdout cannot encode the report; --out writes UTF-8") from None
     except (MiningError, OSError) as exc:
         print(f"pincer-ml: {exc}", file=sys.stderr)
-        # An OSError (a missing or unreadable file) is a runtime failure.
-        return getattr(exc, "exit_code", EXIT_RUNTIME)
+        # An OSError (a missing or unwritable file) is a runtime failure.
+        return getattr(exc, "exit_code", MiningError.exit_code)
+    return 0 if ok else MiningError.exit_code
 
 
 def app() -> None:

@@ -39,6 +39,14 @@ def bookstore_args(command):
     ]
 
 
+def command_args(command, tmp_path):
+    """Arguments that run ``command`` cleanly; ``gen`` writes under ``tmp_path``."""
+    if command == "gen":
+        return ["gen", "--taxonomy", tmp_path / "t.csv",
+                "--transactions", tmp_path / "x.csv", "--seed", "5"]
+    return bookstore_args(command)
+
+
 def mine_args(*extra, out=None):
     args = bookstore_args("mine")
     args.extend(extra)
@@ -50,9 +58,12 @@ def mine_args(*extra, out=None):
 SRC = Path(pincer_ml.__file__).resolve().parents[1]
 
 
-def python_with_src(*argv):
-    """Run ``python argv`` in a fresh interpreter that imports from ``SRC``."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def python_with_src(*argv, **env):
+    """Run ``python argv`` in a fresh interpreter that imports from ``SRC``.
+
+    Keyword arguments are added to the child's environment.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
     return subprocess.run(
         [sys.executable, *map(str, argv)], env=env, capture_output=True,
         text=True, timeout=60,
@@ -296,7 +307,8 @@ class TestCompare:
         assert code == 0
         assert "results match" in capsys.readouterr().out
 
-    def test_differing_results_exit_1(self, monkeypatch, capsys):
+    @pytest.fixture
+    def differing_baseline(self, monkeypatch):
         def drop_first_level1_set(db, config):
             result = real(db, config)
             first, *rest = result.levels
@@ -305,8 +317,18 @@ class TestCompare:
 
         real = baselines.ml_t2l1
         monkeypatch.setattr("pincer_ml.baselines.ml_t2l1", drop_first_level1_set)
+
+    def test_differing_results_exit_1(self, differing_baseline, capsys):
         assert run(*bookstore_args("compare"), "--format", "text") == 1
         assert capsys.readouterr().out.splitlines()[-1].endswith("results DIFFER")
+
+    def test_differing_results_still_write_the_report(
+        self, differing_baseline, tmp_path, capsys
+    ):
+        out = tmp_path / "cmp.json"
+        assert run(*bookstore_args("compare"), "--out", out) == 1
+        assert capsys.readouterr().out == ""
+        assert body_of(out)["totals"]["results_match"] is False
 
     def test_rising_thresholds_warn_once_at_the_caller(self):
         args = bookstore_args("compare")
@@ -335,15 +357,24 @@ class TestOracleCheck:
         assert code == 0
         assert "all levels match" in capsys.readouterr().out
 
-    def test_mismatch_exits_1(self, monkeypatch, capsys):
+    @pytest.fixture
+    def mismatching_oracle(self, monkeypatch):
         def drop_first_set(matrix, minsup):
             result = real(matrix, minsup)
             return result._replace(frequent=dict(list(result.frequent.items())[1:]))
 
         real = oracle.brute_force
         monkeypatch.setattr("pincer_ml.oracle.brute_force", drop_first_set)
+
+    def test_mismatch_exits_1(self, mismatching_oracle, capsys):
         assert run(*bookstore_args("oracle-check"), "--format", "text") == 1
         assert "MISMATCH FOUND" in capsys.readouterr().out
+
+    def test_mismatch_still_writes_the_report(self, mismatching_oracle, tmp_path, capsys):
+        out = tmp_path / "check.json"
+        assert run(*bookstore_args("oracle-check"), "--out", out) == 1
+        assert capsys.readouterr().out == ""
+        assert body_of(out)["totals"]["match"] is False
 
     def test_oversized_vocabulary_exits_3(self, tmp_path, capsys):
         tax, trx = tmp_path / "t.csv", tmp_path / "x.csv"
@@ -505,12 +536,7 @@ class TestGen:
 class TestJsonLayout:
     @pytest.mark.parametrize("command", ["mine", "compare", "oracle-check", "gen"])
     def test_report_is_one_line_of_sorted_key_json(self, tmp_path, capsys, command):
-        if command == "gen":
-            args = ["gen", "--taxonomy", tmp_path / "t.csv"]
-            args += ["--transactions", tmp_path / "x.csv", "--seed", "5"]
-        else:
-            args = bookstore_args(command)
-        assert run(*args, "--format", "json") == 0
+        assert run(*command_args(command, tmp_path), "--format", "json") == 0
         text = capsys.readouterr().out
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
@@ -665,6 +691,19 @@ class TestEntryPoints:
         assert done.stderr.startswith("pincer-ml: ")
         assert done.stdout == ""
 
+    def test_unencodable_text_report_exits_1_naming_out(self, tmp_path):
+        tax, trx = tmp_path / "tax.csv", tmp_path / "trx.csv"
+        tax.write_text("code,name\n\u00c41,a\nB1,b\n", encoding="utf-8")
+        trx.write_text("tid,item\nT1,\u00c41\nT1,B1\nT2,\u00c41\nT2,B1\n", encoding="utf-8")
+        args = ["mine", "--taxonomy", tax, "--transactions", trx, "--minsup", "2,2"]
+        done = python_with_src(
+            "-c", CONSOLE_SCRIPT, *args, "--format", "text", PYTHONIOENCODING="ascii"
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("pincer-ml: ")
+        assert len(done.stderr.splitlines()) == 1
+        assert "--out" in done.stderr
+
 
 class TestExitCodes:
     def test_wrong_threshold_count(self):
@@ -732,6 +771,14 @@ class TestExitCodes:
         assert run(*mine_args(), "--min-conf", "1e-4300") == 2
         assert run(*mine_args(), "--min-conf", "0.1e-4299") == 2
         assert run(*mine_args()[:-1], "1e4300,2,2") == 2
+
+    @pytest.mark.parametrize("command", ["mine", "compare", "oracle-check", "gen"])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "absent" / "report.json"
+        assert run(*command_args(command, tmp_path), "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("pincer-ml: ")
+        assert captured.out == ""
 
     def test_unknown_flag(self):
         assert run(*mine_args(), "--frobnicate") == 2
