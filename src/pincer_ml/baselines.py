@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ConfigError, MiningError
-from .itemsets import apriori_prune, join, to_items
+from .itemsets import apriori_prune, by_size, join
 from .multilevel import LevelConfig, MultiLevelResult, check_config
 from .rules import FrequentSet
 from .taxonomy import ItemCode, generalize
@@ -21,7 +21,6 @@ class AprioriPassStats(NamedTuple):
     k: int
     candidates: int
     frequent: int
-    passes: int
 
 
 class AprioriResult(NamedTuple):
@@ -50,15 +49,12 @@ def apriori(matrix: LevelMatrix, minsup: int) -> AprioriResult:
                 k=k,
                 candidates=len(candidates),
                 frequent=len(level_frequent),
-                passes=k,
             )
         )
         survivors = set(level_frequent)
         candidates = apriori_prune(join(survivors), survivors)
         k += 1
-    results = ((to_items(s), c) for s, c in found.items())
-    ordered = sorted(results, key=lambda kv: (len(kv[0]), kv[0]))
-    frequent = tuple(FrequentSet(s, c) for s, c in ordered)
+    frequent = tuple(FrequentSet(s, c) for s, c in by_size(found))
     return AprioriResult(frequent, tuple(trace), len(trace))
 
 

@@ -20,7 +20,7 @@ what has been counted and the ``mfs``.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Collection, FrozenSet, Iterable, Iterator, NamedTuple
+from typing import Collection, FrozenSet, Iterable, Iterator, Mapping, NamedTuple
 
 Itemset = tuple[int, ...]
 
@@ -44,6 +44,16 @@ def to_mask(items: Iterable[int]) -> int:
 def to_items(mask: int) -> Itemset:
     """The index tuple of ``mask``."""
     return tuple(bits(mask))
+
+
+def by_size(counts: Mapping[int, int]) -> list[tuple[Itemset, int]]:
+    """The ``(index tuple, count)`` pairs of a mask -> count map.
+
+    Smaller sets come first, and sets of one size in index order: the
+    order in which every miner returns its itemsets.
+    """
+    pairs = ((to_items(m), c) for m, c in counts.items())
+    return sorted(pairs, key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def join(frequent_k: Collection[int]) -> set[int]:

@@ -22,6 +22,7 @@ from .itemsets import (
     BorderState,
     Itemset,
     apriori_prune,
+    by_size,
     join,
     mfcs_gen,
     pincer_prune,
@@ -87,10 +88,9 @@ def pincer_search(
     steps: list[PassStats] = []
     k = 1
 
-    while candidates or any(m not in support for m in state.mfcs):
-        # No candidate was counted before: pincer_prune drops every set
-        # equal to a counted border member, frequent or not.
-        uncounted = candidates | {m for m in state.mfcs if m not in support}
+    # No candidate was counted before: pincer_prune drops every set
+    # equal to a counted border member, frequent or not.
+    while uncounted := candidates | {m for m in state.mfcs if m not in support}:
         support.update(count_many(matrix, uncounted))
 
         # Border members are now all counted: frequent ones are maximal,
@@ -128,7 +128,6 @@ def pincer_search(
 
     # Any border member still standing was counted frequent on an
     # earlier pass, and nothing in mfs covers it.
-    results = ((to_items(m), support[m]) for m in state.mfs | state.mfcs)
-    ordered = dict(sorted(results, key=lambda kv: (len(kv[0]), kv[0])))
+    ordered = dict(by_size({m: support[m] for m in state.mfs | state.mfcs}))
     trace = PincerTrace(tuple(steps), len(steps))
     return PincerResult(ordered, trace, matrix.vocabulary)

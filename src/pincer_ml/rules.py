@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import ConfigError, LimitError, MiningError
-from .itemsets import Itemset, to_items, to_mask
+from .itemsets import Itemset, by_size, to_items, to_mask
 from .transactions import LevelMatrix, count_many
 
 # Subsets, the sum of 2**|m|, that expanding one maximal family may
@@ -61,9 +61,7 @@ def expand_frequent(
     if not subsets:
         return ()
     counts = count_many(matrix, subsets)
-    found = ((to_items(s), c) for s, c in counts.items())
-    ordered = sorted(found, key=lambda kv: (len(kv[0]), kv[0]))
-    return tuple(FrequentSet(s, c) for s, c in ordered)
+    return tuple(FrequentSet(s, c) for s, c in by_size(counts))
 
 
 def generate_rules(
@@ -97,27 +95,23 @@ def generate_rules(
         )
     scale = max(support.values(), default=0) ** 2
     kept = []
-    for z, z_support in support.items():
-        # num and den are positive, so z * den >= num * x iff x <= z * den // num.
-        limit = z_support * den // num
-        x = (z - 1) & z
-        while x:
-            x_support = support.get(x)
-            if x_support is None:
-                raise MiningError(
-                    f"no support recorded for {to_items(x)}, needed by a "
-                    f"rule from {to_items(z)}; expand the frequent family first"
-                )
-            if x_support <= limit:
-                kept.append(
-                    (-(z_support * scale // x_support), -z_support, x, z, x_support)
-                )
-            x = (x - 1) & z
-    # The walk looked up every proper subset, so every consequent has items.
-    kept = [
-        (key, nz, family[x].itemset, family[z & ~x].itemset, xs)
-        for key, nz, x, z, xs in kept
-    ]
+    # A subset missing from the family ends the walk with a KeyError on its mask.
+    try:
+        for z, z_support in support.items():
+            # num and den are positive, so z * den >= num * x iff x <= z * den // num.
+            limit = z_support * den // num
+            x = (z - 1) & z
+            while x:
+                x_support = support[x]
+                if x_support <= limit:
+                    a, c = family[x].itemset, family[z ^ x].itemset
+                    kept.append((-(z_support * scale // x_support), -z_support, a, c, x_support))
+                x = (x - 1) & z
+    except KeyError as missing:
+        raise MiningError(
+            f"no support recorded for {to_items(missing.args[0])}, needed by a "
+            f"rule from {to_items(z)}; expand the frequent family first"
+        ) from None
     # (antecedent, consequent) is unique per rule, so x_support never decides.
     kept.sort()
     ratios: dict[tuple[int, int], Fraction] = {}

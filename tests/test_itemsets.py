@@ -64,6 +64,15 @@ def test_mask_round_trip():
         assert to_items(to_mask(items)) == items
 
 
+def test_by_size_orders_smaller_sets_first_then_by_index():
+    counts = {0b110: 2, 0b001: 5, 0b011: 3, 0b101: 1}
+    assert itemsets.by_size(counts) == [((0,), 5), ((0, 1), 3), ((0, 2), 1), ((1, 2), 2)]
+    # Index order, not mask order: (0, 7) has the larger mask.
+    assert itemsets.by_size({0b110: 1, 0b10000001: 1}) == [((0, 7), 1), ((1, 2), 1)]
+    assert itemsets.by_size({0b111: 4, 0b1000: 6}) == [((3,), 6), ((0, 1, 2), 4)]
+    assert itemsets.by_size({}) == []
+
+
 class TestJoin:
     def test_singletons_join_to_all_pairs(self):
         got = join({(0,), (1,), (2,)})

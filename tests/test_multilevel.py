@@ -100,6 +100,7 @@ class TestLevelConfig:
             "antecedent", "consequent", "support_count", "confidence",
         )
         assert PincerResult._fields == ("mfs", "trace", "vocabulary")
+        assert baselines.AprioriPassStats._fields == ("k", "candidates", "frequent")
         assert list(inspect.signature(generate_rules).parameters) == [
             "frequent", "min_conf",
         ]

@@ -136,13 +136,16 @@ class TestRules:
             generate_rules(level1_frequent, Fraction(3, 2))
 
     def test_missing_subset_support(self):
-        frequent = [
-            FrequentSet((0,), 5),
-            FrequentSet((0, 1), 3),  # (1,) deliberately absent
+        holed = [
+            # (1,) is absent: an antecedent that the walk reads.
+            ([FrequentSet((0,), 5), FrequentSet((0, 1), 3)], r"\(1,\)"),
+            # (0,) is absent: the consequent of (1,) -> (0,), which is kept.
+            ([FrequentSet((1,), 5), FrequentSet((0, 1), 5)], r"\(0,\)"),
         ]
-        message = r"for \(1,\), needed by a rule from \(0, 1\)"
-        with pytest.raises(MiningError, match=message):
-            generate_rules(frequent, Fraction(1, 2))
+        for frequent, missing in holed:
+            message = rf"for {missing}, needed by a rule from \(0, 1\)"
+            with pytest.raises(MiningError, match=message):
+                generate_rules(frequent, Fraction(1, 2))
 
     def test_singletons_alone_make_no_rules(self):
         frequent = [FrequentSet((0,), 5), FrequentSet((1,), 4)]
