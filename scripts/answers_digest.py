@@ -27,7 +27,8 @@ SEEDS = range(2000)
 EXPECTED = "8faac541d5132022a06baeee68d36b17d01bdddb0754ef3e8ed450e3cfb6907b"
 
 
-def answers(seed: int) -> list:
+def draw(seed: int):
+    """Matrix ``seed`` and its minsup."""
     rng = random.Random(seed)
     matrix = random_matrix(
         rng,
@@ -35,7 +36,11 @@ def answers(seed: int) -> list:
         n_transactions=rng.randint(1, 60),
         density=rng.uniform(0.1, 0.9),
     )
-    minsup = rng.randint(1, 10)
+    return matrix, rng.randint(1, 10)
+
+
+def answers(seed: int) -> list:
+    matrix, minsup = draw(seed)
     snapshots = []
 
     def observer(k, *borders):

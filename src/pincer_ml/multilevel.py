@@ -92,19 +92,11 @@ def descend_vocabulary(
         raise MiningError(
             f"can only descend to levels 2..{taxonomy.total_levels}, got {level}"
         )
-    if policy is DescentPolicy.FREQUENT_PARENTS:
-        parents = {prior.vocabulary[i] for member in prior.mfs for i in member}
-    else:
-        if prior.mfs:
-            widest = max(len(m) for m in prior.mfs)
-            parents = {
-                prior.vocabulary[i]
-                for member in prior.mfs
-                if len(member) == widest
-                for i in member
-            }
-        else:
-            parents = set()
+    members = prior.mfs
+    if policy is DescentPolicy.MAXIMAL_ITEMSET_ITEMS:
+        widest = max(map(len, members), default=0)
+        members = [m for m in members if len(m) == widest]
+    parents = {prior.vocabulary[i] for member in members for i in member}
     return frozenset(
         code
         for code in taxonomy.codes_at_depth(level)
@@ -128,18 +120,11 @@ def mine_multilevel(db: TransactionDB, config: LevelConfig) -> MultiLevelResult:
             stacklevel=2,
         )
     levels: list[LevelResult] = []
-    prior: PincerResult | None = None
-    for level in range(1, config.total_levels + 1):
-        if level == 1:
-            vocabulary_filter = None
-        else:
-            vocabulary_filter = descend_vocabulary(
-                db.taxonomy, level, prior, config.descent_policy
-            )
+    vocabulary_filter = None
+    for level, minsup in enumerate(thresholds, start=1):
         matrix = project_to_level(db, level, vocabulary_filter)
-        minsup = config.minsup_per_level[level - 1]
         result = pincer_search(matrix, minsup)
-        frequent = expand_frequent(frozenset(result.mfs), matrix)
+        frequent = expand_frequent(result.mfs, matrix)
         levels.append(
             LevelResult(
                 level=level,
@@ -153,7 +138,10 @@ def mine_multilevel(db: TransactionDB, config: LevelConfig) -> MultiLevelResult:
                 expansion_passes=1 if frequent else 0,
             )
         )
-        prior = result
+        if level < config.total_levels:
+            vocabulary_filter = descend_vocabulary(
+                db.taxonomy, level + 1, result, config.descent_policy
+            )
     return MultiLevelResult(
         levels=tuple(levels),
         mining_passes=sum(lr.mining_passes for lr in levels),

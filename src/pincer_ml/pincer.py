@@ -26,7 +26,7 @@ from .itemsets import (
     join,
     mfcs_gen,
     pincer_prune,
-    recover,
+    recover,  # not called: perfbench/tracing.py patches pincer.recover by name
     to_items,
 )
 from .taxonomy import ItemCode
@@ -97,7 +97,6 @@ def pincer_search(
         # since the border is an antichain that no member of mfs covers.
         certified = {m for m in state.mfcs if support[m] >= minsup}
         frequent_k = {c for c in candidates if support[c] >= minsup}
-        infrequent_k = candidates - frequent_k
         # The new MFCS is determined by the infrequent sets and mfs alone.
         infrequent = [s for s, c in support.items() if c < minsup]
         state = mfcs_gen(state.mfs | certified, infrequent, k, n_items)
@@ -107,7 +106,7 @@ def pincer_search(
                 k=k,
                 candidates=len(candidates),
                 frequent=len(frequent_k),
-                infrequent=len(infrequent_k),
+                infrequent=len(candidates) - len(frequent_k),
                 mfcs_size=len(state.mfcs),
                 mfs_size=len(state.mfs),
                 passes=k,
@@ -119,11 +118,7 @@ def pincer_search(
 
         # Every joined candidate has all its k-subsets frequent, so with
         # the border exact only counted and certified sets are settled.
-        candidates = pincer_prune(
-            recover(apriori_prune(join(frequent_k), frequent_k), frequent_k, state.mfs),
-            state.mfs,
-            support,
-        )
+        candidates = pincer_prune(apriori_prune(join(frequent_k), frequent_k), state.mfs, support)
         k += 1
 
     # Any border member still standing was counted frequent on an

@@ -123,6 +123,8 @@ def test_criterion_6_oracle_equivalence_200_seeds():
         assert {
             fs.itemset: fs.support_count for fs in ladder.frequent
         } == oracle.frequent, f"seed {seed}"
+        # The border search never takes more passes than Apriori.
+        assert border.trace.passes <= ladder.passes, f"seed {seed}"
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"suite took {elapsed:.1f}s"
     print(f"PASS criterion 6: 200 seeded runs match the oracle in {elapsed:.1f}s")

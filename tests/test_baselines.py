@@ -148,6 +148,13 @@ class TestCompare:
         with pytest.raises(MiningError, match="produced from different datasets"):
             compare(mined, baseline)
 
+    def test_differing_level_counts_are_rejected(self, bookstore):
+        config = LevelConfig((3, 2, 2), 3, FP)
+        mined = mine_multilevel(bookstore, config)
+        truncated = mined._replace(levels=mined.levels[:1])
+        with pytest.raises(MiningError, match="level counts differ: 1 vs 3"):
+            compare(truncated, ml_t2l1(bookstore, config))
+
 
 @pytest.mark.parametrize("seed", range(40))
 def test_apriori_and_pincer_agree_on_random_matrices(seed):

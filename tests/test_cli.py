@@ -126,6 +126,18 @@ class TestMine:
         assert "maximal frequent sets" in out
         assert "{C**, D**, E**, G**}  support=4" in out
 
+    def test_text_format_marks_a_level_with_no_frequent_set(self, capsys):
+        args = bookstore_args("mine")
+        args[-1] = "7,7,7"
+        assert run(*args, "--format", "text") == 0
+        out = capsys.readouterr().out
+        assert (
+            "level 3  minsup=7  vocabulary=8  passes=1+0\n"
+            "  maximal frequent sets:\n"
+            "    (none)\n"
+            "  frequent itemsets: 0\n"
+        ) in out
+
     def test_out_file_silences_stdout(self, tmp_path, capsys):
         assert run(*mine_args(out=tmp_path / "r.json")) == 0
         assert capsys.readouterr().out == ""

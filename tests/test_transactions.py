@@ -316,6 +316,10 @@ class TestRandomMatrix:
         with pytest.raises(ConfigError):
             random_matrix(random.Random(0), 53, 3)
 
+    def test_density_above_one(self):
+        with pytest.raises(ConfigError, match="density must be within \\[0, 1\\], got 1.5"):
+            random_matrix(random.Random(0), 3, 3, density=1.5)
+
 
 class TestCounting:
     def test_column_popcounts_match_singletons(self, level1):
