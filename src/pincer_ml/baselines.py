@@ -82,18 +82,9 @@ def ml_t2l1(db: TransactionDB, config: LevelConfig) -> MlT2l1Result:
     """
     check_config(config, db.taxonomy)
     levels: list[MlLevelResult] = []
-    parent_codes: set[ItemCode] | None = None
-    for level in range(1, config.total_levels + 1):
-        if level == 1:
-            vocabulary_filter = None
-        else:
-            vocabulary_filter = frozenset(
-                code
-                for code in db.taxonomy.codes_at_depth(level)
-                if generalize(code, level - 1) in parent_codes
-            )
+    vocabulary_filter = None
+    for level, minsup in enumerate(config.minsup_per_level, start=1):
         matrix = project_to_level(db, level, vocabulary_filter)
-        minsup = config.minsup_per_level[level - 1]
         result = apriori(matrix, minsup)
         levels.append(
             MlLevelResult(
@@ -105,24 +96,22 @@ def ml_t2l1(db: TransactionDB, config: LevelConfig) -> MlT2l1Result:
                 passes=result.passes,
             )
         )
-        parent_codes = {
-            matrix.vocabulary[fs.itemset[0]]
-            for fs in result.frequent
-            if len(fs.itemset) == 1
-        }
+        if level < config.total_levels:
+            parents = {
+                matrix.vocabulary[fs.itemset[0]]
+                for fs in result.frequent
+                if len(fs.itemset) == 1
+            }
+            vocabulary_filter = frozenset(
+                code
+                for code in db.taxonomy.codes_at_depth(level + 1)
+                if generalize(code, level) in parents
+            )
     return MlT2l1Result(
         levels=tuple(levels),
         passes=sum(lr.passes for lr in levels),
         db=db,
     )
-
-
-def _frequent_by_size(itemsets) -> dict[int, list[tuple[str, ...]]]:
-    """Group text tuples by length; each group comes out sorted."""
-    table: dict[int, list[tuple[str, ...]]] = {}
-    for texts in sorted(itemsets):
-        table.setdefault(len(texts), []).append(texts)
-    return table
 
 
 def _as_support_map(
@@ -157,7 +146,12 @@ def compare(a: MultiLevelResult, b: MlT2l1Result) -> dict:
         map_b = _as_support_map(lr_b.frequent, lr_b.vocabulary)
         if map_a != map_b:
             results_match = False
-        sizes_a = _frequent_by_size(map_a)
+        # ``by_size`` orders the engine's sets by size, then by index, and
+        # a level's vocabulary is sorted by code text, so each size's text
+        # tuples already come in sorted order.
+        sizes_a: dict[int, list[tuple[str, ...]]] = {}
+        for texts in map_a:
+            sizes_a.setdefault(len(texts), []).append(texts)
         cand_a = {step.k: step.candidates for step in lr_a.pincer.trace.steps}
         cand_b = {step.k: step.candidates for step in lr_b.trace}
         freq_b = {step.k: step.frequent for step in lr_b.trace}

@@ -35,7 +35,7 @@ from .multilevel import (
     MultiLevelResult,
     mine_multilevel,
 )
-from .rules import Rule, generate_rules
+from .rules import generate_rules
 from .taxonomy import read_taxonomy_csv
 from .transactions import project_to_level, read_transactions_csv
 
@@ -171,7 +171,7 @@ def parse_minsup(text: str, mode: str, n_transactions: int, total_levels: int):
             if value.denominator != 1:
                 raise ConfigError(
                     f"--minsup entry {tok!r} is not a whole count; "
-                    "use --support-mode fractional for ratios"
+                    "use --support-mode fractional for fractions of the database"
                 )
             if value < 1:
                 raise ConfigError(f"--minsup entry {tok!r} must be at least 1")
@@ -234,20 +234,17 @@ def _mine_totals(result: MultiLevelResult, rules_per_level, min_conf) -> dict:
     }
 
 
-def _level_texts(lr, rules: list[Rule], quote, template: str):
-    """Each frequent itemset of the level and each confidence, rendered once.
+def _level_names(lr, quote, template: str) -> dict:
+    """Each frequent itemset of the level, rendered once.
 
     Every maximal set, antecedent and consequent is a frequent set of the
-    level, so it is looked up by itemset.  ``generate_rules`` shares one
-    ``Fraction`` per ratio, so confidences are keyed on identity.
+    level, so it is looked up by itemset.
     """
     codes = [quote(code.text) for code in lr.vocabulary]
-    names = {
+    return {
         fs.itemset: template % ", ".join([codes[i] for i in fs.itemset])
         for fs in lr.frequent
     }
-    ratios = {id(r.confidence): r.confidence for r in rules}
-    return names, {key: str(ratio) for key, ratio in ratios.items()}
 
 
 def _mine_json(meta: dict, result: MultiLevelResult, rules_per_level, min_conf) -> str:
@@ -259,7 +256,7 @@ def _mine_json(meta: dict, result: MultiLevelResult, rules_per_level, min_conf) 
     """
     levels = []
     for lr, rules in zip(result.levels, rules_per_level):
-        names, confidences = _level_texts(lr, rules, json.dumps, "[%s]")
+        names = _level_names(lr, json.dumps, "[%s]")
         counts = {fs.support_count for fs in lr.frequent}
         fractions = {c: str(Fraction(c, result.db.n_transactions)) for c in counts}
         frequent = [
@@ -273,7 +270,7 @@ def _mine_json(meta: dict, result: MultiLevelResult, rules_per_level, min_conf) 
         ]
         rule_texts = [
             '{"antecedent": %s, "confidence": "%s", "consequent": %s, "support": %d}'
-            % (names[x], confidences[id(conf)], names[y], support)
+            % (names[x], conf, names[y], support)
             for x, y, support, conf in rules
         ]
         levels.append(
@@ -295,7 +292,7 @@ def _mine_text(result: MultiLevelResult, rules_per_level, min_conf) -> str:
     totals = _mine_totals(result, rules_per_level, min_conf)
     lines = []
     for lr, rules in zip(result.levels, rules_per_level):
-        names, confidences = _level_texts(lr, rules, str, "{%s}")
+        names = _level_names(lr, str, "{%s}")
         lines.append(
             f"level {lr.level}  minsup={lr.minsup}  "
             f"vocabulary={len(lr.vocabulary)}  "
@@ -309,7 +306,7 @@ def _mine_text(result: MultiLevelResult, rules_per_level, min_conf) -> str:
         lines.append(f"  rules (min confidence {totals['min_conf']}):")
         lines.extend(
             "    %s -> %s  support=%d  confidence=%s"
-            % (names[x], names[y], support, confidences[id(conf)])
+            % (names[x], names[y], support, conf)
             for x, y, support, conf in rules
         )
         if not rules:

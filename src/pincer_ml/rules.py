@@ -76,10 +76,11 @@ def generate_rules(
     antecedent and consequent; vocabulary indices follow text order, so
     the tiebreak is the textual one.  A family with more than
     ``MAX_RULE_CANDIDATES`` raw rules is refused before any is built.
+    Each rule carries its own ``Fraction``, which prints reduced.
 
     Confidence is ordered by ``z * S**2 // x``, S the largest support:
-    two distinct ratios with denominators at most S differ by at least
-    1/S**2, so the integer key orders them exactly as the ratios.
+    two distinct confidences with denominators at most S differ by at
+    least 1/S**2, so the integer key orders them exactly.
     """
     if not 0 < min_conf <= 1:
         raise ConfigError(f"min_conf must be in (0, 1], got {min_conf}")
@@ -114,11 +115,7 @@ def generate_rules(
         ) from None
     # (antecedent, consequent) is unique per rule, so x_support never decides.
     kept.sort()
-    ratios: dict[tuple[int, int], Fraction] = {}
-    for _, neg_z, _, _, x_support in kept:
-        if (neg_z, x_support) not in ratios:
-            ratios[neg_z, x_support] = Fraction(-neg_z, x_support)
     return [
-        Rule(antecedent, consequent, -neg_z, ratios[neg_z, x_support])
+        Rule(antecedent, consequent, -neg_z, Fraction(-neg_z, x_support))
         for _, neg_z, antecedent, consequent, x_support in kept
     ]

@@ -172,3 +172,23 @@ def test_apriori_and_pincer_agree_on_random_matrices(seed):
     assert {fs.itemset: fs.support_count for fs in ladder.frequent} == {
         fs.itemset: fs.support_count for fs in expanded
     }
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_multilevel_miners_agree_on_random_datasets(seed):
+    rng = random.Random(seed)
+    levels = rng.randint(2, 4)
+    db = random_dataset(
+        seed,
+        n_roots=rng.randint(2, 6),
+        total_levels=levels,
+        n_transactions=rng.randint(10, 60),
+    )
+    # Thresholds never rise with depth, so mine_multilevel does not warn.
+    minsup = tuple(sorted((rng.randint(1, 5) for _ in range(levels)), reverse=True))
+    config = LevelConfig(minsup, levels, FP)
+    report = compare(mine_multilevel(db, config), ml_t2l1(db, config))
+    assert report["totals"]["results_match"]
+    for level in report["levels"]:
+        for row in level["rows"]:
+            assert row["frequent_itemsets"] == sorted(row["frequent_itemsets"])

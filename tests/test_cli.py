@@ -442,6 +442,17 @@ class TestGen:
             prints.append(json.loads(capsys.readouterr().out)["fingerprint"])
         assert prints[0] == prints[1]
 
+    def test_text_summary_counts_what_the_json_reports(self, tmp_path, capsys):
+        tax, trx = tmp_path / "t.csv", tmp_path / "x.csv"
+        args = ["gen", "--taxonomy", tax, "--transactions", trx, "--seed", "4"]
+        assert run(*args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run(*args, "--format", "text") == 0
+        assert capsys.readouterr().out == (
+            f"wrote {payload['leaves']} leaf items to {tax} and "
+            f"{payload['rows']} transactions to {trx} (seed 4)\n"
+        )
+
     def test_seed_defaults_to_0(self, tmp_path, capsys):
         run(
             "gen",

@@ -310,12 +310,3 @@ class TestRuleWork:
             got = generate_rules(frequent, Fraction(1, 2))
             assert got == reference_rules(frequent, Fraction(1, 2))
             assert len(calls) <= len(frequent)
-
-    def test_rules_sharing_a_ratio_share_its_fraction(self, level1_frequent):
-        got = generate_rules(level1_frequent, Fraction(1, 2))
-        by_ratio = {}
-        for r in got:
-            by_ratio.setdefault((r.support_count, r.confidence), []).append(r)
-        assert any(len(same) > 1 for same in by_ratio.values())
-        for same in by_ratio.values():
-            assert len({id(r.confidence) for r in same}) == 1
