@@ -11,7 +11,7 @@ evidence the engine is checked against, not part of it: import them
 from ``pincer_ml.baselines`` and ``pincer_ml.oracle``.
 """
 from .errors import MiningError
-from .itemsets import BorderState, Itemset
+from .itemsets import Itemset
 from .multilevel import (
     DescentPolicy,
     LevelConfig,
@@ -34,7 +34,6 @@ from .transactions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BorderState",
     "DescentPolicy",
     "FrequentSet",
     "ItemCode",

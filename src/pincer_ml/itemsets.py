@@ -224,26 +224,6 @@ def mfcs_gen(
     return BorderState(kept, frozenset(mfs))
 
 
-def recover(
-    candidates: Collection[int],
-    frequent_k: Collection[int],
-    mfs: Collection[int],
-) -> set[int]:
-    """Re-add join candidates hidden inside certified maximal sets.
-
-    For each frequent k-set lying inside a maximal frequent set, every
-    one-item extension drawn from that maximal set (beyond the k-set's
-    last item) is restored to the candidate pool.
-    """
-    out = set(candidates)
-    for l in frequent_k:
-        top = l.bit_length()
-        for m in mfs:
-            if l & ~m == 0:
-                out.update(l | (1 << e) for e in bits(m >> top << top))
-    return out
-
-
 def pincer_prune(
     candidates: Collection[int], mfs: Collection[int], counted: Collection[int]
 ) -> set[int]:
@@ -252,13 +232,13 @@ def pincer_prune(
     A candidate in ``counted`` already has its support; one inside an
     ``mfs`` member is provably frequent.  Neither needs counting.
 
-    Unchecked: every candidate either lies inside an ``mfs`` member or
-    has all its one-smaller subsets counted frequent, and the border was
-    rebuilt by :func:`mfcs_gen` after the last pass.  Such a candidate
-    can contain no counted infrequent set but itself, so an uncounted
-    one lies inside a maximal set avoiding them all: an ``mfcs`` member
-    or a set inside an ``mfs`` member.  Testing it against the ``mfcs``
-    could therefore only drop a counted set.
+    Unchecked: every candidate has all its one-smaller subsets counted
+    frequent, and the border was rebuilt by :func:`mfcs_gen` after the
+    last pass.  Such a candidate can contain no counted infrequent set
+    but itself, so an uncounted one lies inside a maximal set avoiding
+    them all: an ``mfcs`` member or a set inside an ``mfs`` member.
+    Testing it against the ``mfcs`` could therefore only drop a counted
+    set.
     """
     return {
         c for c in candidates if c not in counted and not any(c & ~f == 0 for f in mfs)

@@ -77,22 +77,21 @@ class MultiLevelResult(NamedTuple):
 
 
 def descend_vocabulary(
-    taxonomy: Taxonomy,
-    level: int,
-    prior: PincerResult,
-    policy: DescentPolicy,
+    taxonomy: Taxonomy, prior: LevelResult, policy: DescentPolicy
 ) -> frozenset[ItemCode]:
-    """Choose the depth-``level`` codes worth mining, given the level above.
+    """Choose the codes worth mining one level below ``prior``.
 
-    FREQUENT_PARENTS keeps the children of every frequent item;
-    MAXIMAL_ITEMSET_ITEMS keeps only children of items that belong to a
-    largest maximal frequent itemset.
+    The parents are items of ``prior.vocabulary`` found in
+    ``prior.pincer.mfs``.  FREQUENT_PARENTS keeps the children of every
+    frequent item; MAXIMAL_ITEMSET_ITEMS keeps only children of items
+    that belong to a largest maximal frequent itemset.
     """
+    level = prior.level + 1
     if not 2 <= level <= taxonomy.total_levels:
         raise MiningError(
             f"can only descend to levels 2..{taxonomy.total_levels}, got {level}"
         )
-    members = prior.mfs
+    members = prior.pincer.mfs
     if policy is DescentPolicy.MAXIMAL_ITEMSET_ITEMS:
         widest = max(map(len, members), default=0)
         members = [m for m in members if len(m) == widest]
@@ -140,7 +139,7 @@ def mine_multilevel(db: TransactionDB, config: LevelConfig) -> MultiLevelResult:
         )
         if level < config.total_levels:
             vocabulary_filter = descend_vocabulary(
-                db.taxonomy, level + 1, result, config.descent_policy
+                db.taxonomy, levels[-1], config.descent_policy
             )
     return MultiLevelResult(
         levels=tuple(levels),

@@ -26,11 +26,13 @@ from .itemsets import (
     join,
     mfcs_gen,
     pincer_prune,
-    recover,  # not called: perfbench/tracing.py patches pincer.recover by name
     to_items,
 )
-from .taxonomy import ItemCode
 from .transactions import LevelMatrix, count_many
+
+# No recovery step exists and nothing calls this name: perfbench/tracing.py
+# wraps pincer.recover by name, and ROADMAP item 1b deletes both.
+recover = None
 
 # Called after every pass with (k, MFCS, MFS, every itemset counted
 # infrequent so far), each a frozenset of index tuples.
@@ -55,11 +57,14 @@ class PincerTrace(NamedTuple):
 
 
 class PincerResult(NamedTuple):
-    """Maximal frequent itemsets with supports, plus run accounting."""
+    """Maximal frequent itemsets with supports, plus run accounting.
+
+    Itemsets index the searched matrix's ``vocabulary``, which the
+    caller holds.
+    """
 
     mfs: Mapping[Itemset, int]
     trace: PincerTrace
-    vocabulary: tuple[ItemCode, ...]
 
 
 def pincer_search(
@@ -80,7 +85,7 @@ def pincer_search(
         raise ConfigError(f"minsup must be at least 1, got {minsup}")
     n_items = len(matrix.vocabulary)
     if n_items == 0 or matrix.n_transactions == 0:
-        return PincerResult({}, PincerTrace((), 0), matrix.vocabulary)
+        return PincerResult({}, PincerTrace((), 0))
 
     support: dict[int, int] = {}
     state = BorderState(frozenset({(1 << n_items) - 1}), frozenset())
@@ -125,4 +130,4 @@ def pincer_search(
     # earlier pass, and nothing in mfs covers it.
     ordered = dict(by_size({m: support[m] for m in state.mfs | state.mfcs}))
     trace = PincerTrace(tuple(steps), len(steps))
-    return PincerResult(ordered, trace, matrix.vocabulary)
+    return PincerResult(ordered, trace)

@@ -52,7 +52,11 @@ class TransactionDB:
         leaves = self.leaves
         parts = [str(self.taxonomy.total_levels), *leaves]
         for tid, row in zip(self.tids, self.rows):
-            parts.append("|" + tid)
+            # Escaped, so a tid holding "|" or "," cannot pass for a basket
+            # boundary or an item; a tid free of \, | and , is its own
+            # escape, so such datasets keep their fingerprints.
+            escaped = tid.replace("\\", "\\\\").replace("|", "\\|").replace(",", "\\,")
+            parts.append("|" + escaped)
             parts.extend("," + leaves[i] for i in row)
         return hashlib.sha256("".join(parts).encode()).hexdigest()
 

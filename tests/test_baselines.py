@@ -13,6 +13,8 @@ from pincer_ml.multilevel import DescentPolicy, LevelConfig, mine_multilevel
 from pincer_ml.oracle import brute_force
 from pincer_ml.pincer import pincer_search
 from pincer_ml.rules import expand_frequent
+from pincer_ml.taxonomy import load_taxonomy
+from pincer_ml.transactions import load_transactions
 
 FP = DescentPolicy.FREQUENT_PARENTS
 
@@ -145,6 +147,17 @@ class TestCompare:
         mined = mine_multilevel(bookstore, config)
         other = random_dataset(3, n_roots=4, max_children=3, n_transactions=10)
         baseline = ml_t2l1(other, LevelConfig((2, 2, 2), 3, FP))
+        with pytest.raises(MiningError, match="produced from different datasets"):
+            compare(mined, baseline)
+
+    def test_tids_holding_separators_are_different_datasets(self):
+        # One basket "T1" holding A1 and A2, against one basket "T1,A1"
+        # holding A2: the same text, had the fingerprint not escaped tids.
+        taxonomy = load_taxonomy([("A1", "a"), ("A2", "b")])
+        config = LevelConfig((1, 1), 2, FP)
+        two_items = load_transactions([("T1", "A1"), ("T1", "A2")], taxonomy)
+        comma_tid = load_transactions([("T1,A1", "A2")], taxonomy)
+        mined, baseline = mine_multilevel(two_items, config), ml_t2l1(comma_tid, config)
         with pytest.raises(MiningError, match="produced from different datasets"):
             compare(mined, baseline)
 

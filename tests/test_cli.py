@@ -671,6 +671,11 @@ class TestImportFootprint:
                 assert getattr(module, name).__module__ == module.__name__
                 assert not hasattr(pincer_ml, name), name
 
+    def test_mask_records_stay_inside_the_engine(self):
+        assert "BorderState" not in pincer_ml.__all__
+        assert not hasattr(pincer_ml, "BorderState")
+        assert pincer_ml.itemsets.BorderState._fields == ("mfcs", "mfs")
+
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             pincer_ml.no_such_name

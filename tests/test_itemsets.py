@@ -39,11 +39,6 @@ def mfcs_gen(mfs, infrequent, k, n_items):
     return _tuples(got.mfcs)
 
 
-def recover(candidates, frequent_k, mfs):
-    got = itemsets.recover(_masks(candidates), _masks(frequent_k), _masks(mfs))
-    return _tuples(got)
-
-
 def pincer_prune(candidates, mfs, counted):
     got = itemsets.pincer_prune(_masks(candidates), _masks(mfs), _masks(counted))
     return _tuples(got)
@@ -194,23 +189,6 @@ def test_border_refinement_is_batch_order_independent(seed):
         for k in range(4)
     }
     assert len(borders) == 1
-
-
-class TestRecover:
-    def test_extends_within_maximal_set(self):
-        got = recover(set(), [(1, 2)], [(1, 2, 3, 5)])
-        assert got == {(1, 2, 3), (1, 2, 5)}
-
-    def test_only_extends_past_last_item(self):
-        got = recover(set(), [(2, 3)], [(1, 2, 3, 5)])
-        assert got == {(2, 3, 5)}
-
-    def test_noop_when_not_covered(self):
-        assert recover({(0, 1, 2)}, [(4, 5)], [(1, 2, 3)]) == {(0, 1, 2)}
-
-    def test_keeps_existing_candidates(self):
-        got = recover({(9, 10, 11)}, [(1, 2)], [(1, 2, 3)])
-        assert got == {(9, 10, 11), (1, 2, 3)}
 
 
 class TestPincerPrune:

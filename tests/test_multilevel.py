@@ -14,6 +14,7 @@ from pincer_ml.itemsets import BorderState
 from pincer_ml.multilevel import (
     DescentPolicy,
     LevelConfig,
+    LevelResult,
     descend_vocabulary,
     mine_multilevel,
 )
@@ -99,10 +100,14 @@ class TestLevelConfig:
         assert Rule._fields == (
             "antecedent", "consequent", "support_count", "confidence",
         )
-        assert PincerResult._fields == ("mfs", "trace", "vocabulary")
+        assert PincerResult._fields == ("mfs", "trace")
         assert baselines.AprioriPassStats._fields == ("k", "candidates", "frequent")
         assert list(inspect.signature(generate_rules).parameters) == [
             "frequent", "min_conf",
+        ]
+        # The level to descend to is the prior level's plus one.
+        assert list(inspect.signature(descend_vocabulary).parameters) == [
+            "taxonomy", "prior", "policy",
         ]
 
     def test_policy_from_string_value(self):
@@ -132,30 +137,44 @@ def test_value_records_compare_hash_and_refuse_assignment(name):
             setattr(record, attribute, getattr(twin, field))
 
 
+def searched(matrix, minsup, level=1):
+    """The level result ``mine_multilevel`` would descend from, less the
+    expansion, which descent does not read."""
+    found = pincer_search(matrix, minsup)
+    return LevelResult(level, minsup, matrix.vocabulary, found, (), found.trace.passes, 0)
+
+
 class TestDescent:
     def test_level_bounds(self, bookstore_taxonomy, level1):
-        prior = pincer_search(level1, 3)
         with pytest.raises(MiningError, match=r"levels 2\.\.3, got 1$"):
-            descend_vocabulary(bookstore_taxonomy, 1, prior, FP)
+            descend_vocabulary(bookstore_taxonomy, searched(level1, 3, level=0), FP)
         with pytest.raises(MiningError, match=r"levels 2\.\.3, got 4$"):
-            descend_vocabulary(bookstore_taxonomy, 4, prior, FP)
+            descend_vocabulary(bookstore_taxonomy, searched(level1, 3, level=3), FP)
 
     def test_frequent_parents_level2(self, bookstore_taxonomy, level1):
-        prior = pincer_search(level1, 3)
-        kept = descend_vocabulary(bookstore_taxonomy, 2, prior, FP)
+        kept = descend_vocabulary(bookstore_taxonomy, searched(level1, 3), FP)
         assert {c.text for c in kept} == {
             "B1*", "C1*", "D1*", "E1*", "F1*", "G1*", "H1*",
         }
 
     def test_maximal_policy_level2(self, bookstore_taxonomy, level1):
-        prior = pincer_search(level1, 3)
-        kept = descend_vocabulary(bookstore_taxonomy, 2, prior, MAXIMAL)
+        kept = descend_vocabulary(bookstore_taxonomy, searched(level1, 3), MAXIMAL)
         assert {c.text for c in kept} == {"C1*", "D1*", "E1*", "G1*"}
 
+    def test_maximal_policy_keeps_every_widest_set(self, bookstore):
+        # At minsup 7 level 1's maximal sets are four singletons, all
+        # equally wide: each one's children descend.
+        result = mine_multilevel(bookstore, LevelConfig((7, 2, 2), 3, MAXIMAL))
+        level1, level2 = result.levels[:2]
+        assert mfs_by_text(level1.pincer.mfs, level1.vocabulary) == {
+            ("C**",): 8, ("D**",): 7, ("E**",): 10, ("G**",): 7,
+        }
+        assert [c.text for c in level2.vocabulary] == ["C1*", "D1*", "E1*", "G1*"]
+
     def test_empty_prior_descends_to_nothing(self, bookstore_taxonomy, level1):
-        prior = pincer_search(level1, 16)
+        prior = searched(level1, 16)
         for policy in (FP, MAXIMAL):
-            assert descend_vocabulary(bookstore_taxonomy, 2, prior, policy) == frozenset()
+            assert descend_vocabulary(bookstore_taxonomy, prior, policy) == frozenset()
 
 
 class TestBookstoreRun:

@@ -94,6 +94,21 @@ class TestBookstoreDb:
         assert trimmed.fingerprint() != bookstore.fingerprint()
 
 
+# Each pair read the same fingerprint while tids were joined unescaped.
+PAIRED_LEAVES = load_taxonomy([("A1", "a"), ("A2", "b")])
+TID_COLLISIONS = {
+    "comma_joins_an_item": ([("T1", "A1"), ("T1", "A2")], [("T1,A1", "A2")]),
+    "bar_joins_a_basket": ([("T1", "A1"), ("T2", "A2")], [("T1,A1|T2", "A2")]),
+}
+
+
+@pytest.mark.parametrize("name", TID_COLLISIONS)
+def test_fingerprint_escapes_tids(name):
+    first, second = (load_transactions(r, PAIRED_LEAVES) for r in TID_COLLISIONS[name])
+    assert (first.tids, first.rows) != (second.tids, second.rows)
+    assert first.fingerprint() != second.fingerprint()
+
+
 def reference_load(records, taxonomy):
     """Grouping as it was written: one frozenset of codes per basket."""
     baskets = {}
