@@ -47,8 +47,10 @@ def answers(seed: int) -> list:
         snapshots.append([k, *(sorted(map(list, b)) for b in borders)])
 
     result = pincer_search(matrix, minsup, observer=observer)
+    # PassStats once also held the infrequent count and the pass number,
+    # always candidates - frequent and k: their slots keep EXPECTED.
     steps = [
-        [s.k, s.candidates, s.frequent, s.infrequent, s.mfcs_size, s.mfs_size, s.passes]
+        [s.k, s.candidates, s.frequent, s.candidates - s.frequent, s.mfcs_size, s.mfs_size, s.k]
         for s in result.trace.steps
     ]
     return [

@@ -115,7 +115,7 @@ def run_wide(minsup: str) -> None:
     result, search_s = timed("search", mine_multilevel, db, config)
     emit(
         search_s=search_s,
-        search_passes=[lr.mining_passes for lr in result.levels],
+        search_passes=[lr.pincer.trace.passes for lr in result.levels],
         expansion_sweeps=result.expansion_passes,
     )
     reference, reference_s = timed("reference", ml_t2l1, db, config)

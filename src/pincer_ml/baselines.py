@@ -131,9 +131,10 @@ def compare(a: MultiLevelResult, b: MlT2l1Result) -> dict:
     and the totals.  Pass totals cover the mining itself; the
     bidirectional engine's one-pass-per-level subset expansion is
     reported separately because the baseline enumerates all frequent
-    sets as it goes.
+    sets as it goes.  Runs whose datasets differ in leaves, tids or
+    rows are refused.
     """
-    if a.db.fingerprint() != b.db.fingerprint():
+    if (a.db.leaves, a.db.tids, a.db.rows) != (b.db.leaves, b.db.tids, b.db.rows):
         raise MiningError("the two runs were produced from different datasets")
     if len(a.levels) != len(b.levels):
         raise MiningError(
@@ -172,7 +173,7 @@ def compare(a: MultiLevelResult, b: MlT2l1Result) -> dict:
             {
                 "level": lr_a.level,
                 "rows": rows,
-                "pincer_passes": lr_a.mining_passes,
+                "pincer_passes": lr_a.pincer.trace.passes,
                 "baseline_passes": lr_b.passes,
             }
         )

@@ -278,7 +278,7 @@ def _mine_json(meta: dict, result: MultiLevelResult, rules_per_level, min_conf) 
             '"maximal_frequent_sets": [%s], "mining_passes": %d, "minsup": %d, '
             '"rules": [%s], "vocabulary_size": %d}'
             % (lr.expansion_passes, ", ".join(frequent), lr.level, ", ".join(maximal),
-               lr.mining_passes, lr.minsup, ", ".join(rule_texts), len(lr.vocabulary))
+               lr.pincer.trace.passes, lr.minsup, ", ".join(rule_texts), len(lr.vocabulary))
         )
     totals = _mine_totals(result, rules_per_level, min_conf)
     return '{"levels": [%s], "meta": %s, "totals": %s}\n' % (
@@ -296,7 +296,7 @@ def _mine_text(result: MultiLevelResult, rules_per_level, min_conf) -> str:
         lines.append(
             f"level {lr.level}  minsup={lr.minsup}  "
             f"vocabulary={len(lr.vocabulary)}  "
-            f"passes={lr.mining_passes}+{lr.expansion_passes}"
+            f"passes={lr.pincer.trace.passes}+{lr.expansion_passes}"
         )
         lines.append("  maximal frequent sets:")
         lines.extend(f"    {names[s]}  support={c}" for s, c in lr.pincer.mfs.items())

@@ -61,7 +61,6 @@ class LevelResult(NamedTuple):
     vocabulary: tuple[ItemCode, ...]
     pincer: PincerResult
     frequent: tuple[FrequentSet, ...]
-    mining_passes: int
     expansion_passes: int
 
 
@@ -131,7 +130,6 @@ def mine_multilevel(db: TransactionDB, config: LevelConfig) -> MultiLevelResult:
                 vocabulary=matrix.vocabulary,
                 pincer=result,
                 frequent=frequent,
-                mining_passes=result.trace.passes,
                 # expand_frequent counts the whole family in one sweep,
                 # and makes none when the family is empty.
                 expansion_passes=1 if frequent else 0,
@@ -143,7 +141,7 @@ def mine_multilevel(db: TransactionDB, config: LevelConfig) -> MultiLevelResult:
             )
     return MultiLevelResult(
         levels=tuple(levels),
-        mining_passes=sum(lr.mining_passes for lr in levels),
+        mining_passes=sum(lr.pincer.trace.passes for lr in levels),
         expansion_passes=sum(lr.expansion_passes for lr in levels),
         db=db,
     )

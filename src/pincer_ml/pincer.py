@@ -40,15 +40,18 @@ Observer = Callable[[int, "frozenset[Itemset]", "frozenset[Itemset]", "frozenset
 
 
 class PassStats(NamedTuple):
-    """Sizes recorded at the end of one counting pass."""
+    """Sizes recorded at the end of counting pass ``k``.
+
+    The pass counted ``candidates`` ladder sets of ``k`` items, besides
+    any border members, and ``candidates - frequent`` of them were
+    infrequent.
+    """
 
     k: int
     candidates: int
     frequent: int
-    infrequent: int
     mfcs_size: int
     mfs_size: int
-    passes: int
 
 
 class PincerTrace(NamedTuple):
@@ -111,10 +114,8 @@ def pincer_search(
                 k=k,
                 candidates=len(candidates),
                 frequent=len(frequent_k),
-                infrequent=len(candidates) - len(frequent_k),
                 mfcs_size=len(state.mfcs),
                 mfs_size=len(state.mfs),
-                passes=k,
             )
         )
         if observer is not None:

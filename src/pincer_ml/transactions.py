@@ -40,11 +40,8 @@ class TransactionDB:
         return len(self.rows)
 
     def fingerprint(self) -> str:
-        """Stable digest of the dataset, used to guard comparisons."""
-        return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
+        """Stable digest of the dataset, as ``gen`` prints it, computed
+        on each call."""
         # Imported on first use, so runs that never hash (``mine``) do
         # not load OpenSSL.
         import hashlib

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import DATA, GOLDEN
 from helpers import frequent_by_text, sweeps
 from pincer_ml import baselines
 from pincer_ml.baselines import apriori, compare, ml_t2l1
@@ -13,8 +13,8 @@ from pincer_ml.multilevel import DescentPolicy, LevelConfig, mine_multilevel
 from pincer_ml.oracle import brute_force
 from pincer_ml.pincer import pincer_search
 from pincer_ml.rules import expand_frequent
-from pincer_ml.taxonomy import load_taxonomy
-from pincer_ml.transactions import load_transactions
+from pincer_ml.taxonomy import load_taxonomy, read_taxonomy_csv
+from pincer_ml.transactions import load_transactions, read_transactions_csv
 
 FP = DescentPolicy.FREQUENT_PARENTS
 
@@ -160,6 +160,28 @@ class TestCompare:
         mined, baseline = mine_multilevel(two_items, config), ml_t2l1(comma_tid, config)
         with pytest.raises(MiningError, match="produced from different datasets"):
             compare(mined, baseline)
+
+    def test_datasets_are_judged_by_their_contents(self):
+        # Both empty datasets hash "1123456789ABC": the level count and the
+        # leaf texts are joined with no separator.
+        wide = load_taxonomy([(text, text) for text in "123456789ABC"])
+        deep = load_taxonomy([("23456789ABC", "only leaf")])
+        mined = mine_multilevel(load_transactions([], wide), LevelConfig((1,), 1, FP))
+        baseline = ml_t2l1(load_transactions([], deep), LevelConfig((1,) * 11, 11, FP))
+        assert mined.db.fingerprint() == baseline.db.fingerprint()
+        with pytest.raises(MiningError, match="produced from different datasets"):
+            compare(mined, baseline)
+        # Two loads of one file are one dataset.
+        config = LevelConfig((3, 2, 2), 3, FP)
+
+        def load():
+            taxonomy = read_taxonomy_csv(DATA / "bookstore_taxonomy.csv")
+            return read_transactions_csv(DATA / "bookstore.csv", taxonomy)
+
+        first, second = load(), load()
+        assert first is not second
+        report = compare(mine_multilevel(first, config), ml_t2l1(second, config))
+        assert report["totals"]["results_match"]
 
     def test_differing_level_counts_are_rejected(self, bookstore):
         config = LevelConfig((3, 2, 2), 3, FP)

@@ -101,6 +101,12 @@ class TestLevelConfig:
             "antecedent", "consequent", "support_count", "confidence",
         )
         assert PincerResult._fields == ("mfs", "trace")
+        # A pass's infrequent count is candidates - frequent, its number
+        # is k, and a level's mining passes are its trace's total.
+        assert PassStats._fields == ("k", "candidates", "frequent", "mfcs_size", "mfs_size")
+        assert LevelResult._fields == (
+            "level", "minsup", "vocabulary", "pincer", "frequent", "expansion_passes",
+        )
         assert baselines.AprioriPassStats._fields == ("k", "candidates", "frequent")
         assert list(inspect.signature(generate_rules).parameters) == [
             "frequent", "min_conf",
@@ -118,8 +124,8 @@ class TestLevelConfig:
 # Each value record: its class, constructor arguments, and one field.
 VALUE_RECORDS = {
     "LevelConfig": (LevelConfig, ((3, 2, 2), 3, MAXIMAL), "total_levels"),
-    "PassStats": (PassStats, (2, 10, 4, 6, 3, 1, 2), "k"),
-    "PincerTrace": (PincerTrace, ((PassStats(1, 5, 5, 0, 1, 0, 1),), 1), "passes"),
+    "PassStats": (PassStats, (2, 10, 4, 3, 1), "k"),
+    "PincerTrace": (PincerTrace, ((PassStats(1, 5, 5, 1, 0),), 1), "passes"),
     "BorderState": (BorderState, (frozenset({0b11}), frozenset({0b100})), "mfcs"),
     "FrequentSet": (FrequentSet, ((0, 2), 3), "support_count"),
     "Rule": (Rule, ((0,), (2,), 3, Fraction(3, 4)), "confidence"),
@@ -141,7 +147,7 @@ def searched(matrix, minsup, level=1):
     """The level result ``mine_multilevel`` would descend from, less the
     expansion, which descent does not read."""
     found = pincer_search(matrix, minsup)
-    return LevelResult(level, minsup, matrix.vocabulary, found, (), found.trace.passes, 0)
+    return LevelResult(level, minsup, matrix.vocabulary, found, (), 0)
 
 
 class TestDescent:
@@ -183,7 +189,7 @@ class TestBookstoreRun:
         assert result.mining_passes == 9
         assert result.expansion_passes == 3
         assert result.total_passes == 12
-        assert [lr.mining_passes for lr in result.levels] == [3, 3, 3]
+        assert [lr.pincer.trace.passes for lr in result.levels] == [3, 3, 3]
         assert [len(lr.vocabulary) for lr in result.levels] == [9, 7, 14]
         assert [len(lr.frequent) for lr in result.levels] == [21, 26, 25]
         assert result.db.fingerprint() == bookstore.fingerprint()
@@ -218,13 +224,13 @@ class TestBookstoreRun:
     def test_maximal_policy_totals(self, bookstore):
         result = mine_multilevel(bookstore, LevelConfig((3, 2, 2), 3, MAXIMAL))
         assert result.mining_passes == 7
-        assert [lr.mining_passes for lr in result.levels] == [3, 1, 3]
+        assert [lr.pincer.trace.passes for lr in result.levels] == [3, 1, 3]
         assert [len(lr.vocabulary) for lr in result.levels] == [9, 4, 8]
 
     def test_maximal_policy_level2_is_single_pass_single_set(self, bookstore):
         result = mine_multilevel(bookstore, LevelConfig((3, 2, 2), 3, MAXIMAL))
         lr = result.levels[1]
-        assert lr.mining_passes == 1
+        assert lr.pincer.trace.passes == 1
         assert mfs_by_text(lr.pincer.mfs, lr.vocabulary) == {
             ("C1*", "D1*", "E1*", "G1*"): 4,
         }

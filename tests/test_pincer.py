@@ -178,18 +178,18 @@ class TestBorderInvariants:
 
 
 # Each wide row's trace, pass by pass: (k, candidates, frequent,
-# infrequent, mfcs_size, mfs_size, passes).  The MFCS after each pass is
-# uniquely determined, so every exact border construction gives these.
+# mfcs_size, mfs_size).  The MFCS after each pass is uniquely
+# determined, so every exact border construction gives these.
 WIDE_STEPS = {
     (30, 2000): [
-        (1, 30, 30, 0, 30, 0, 1),
-        (2, 435, 435, 0, 435, 0, 2),
-        (3, 4060, 0, 4060, 435, 0, 3),
+        (1, 30, 30, 30, 0),
+        (2, 435, 435, 435, 0),
+        (3, 4060, 0, 435, 0),
     ],
     (20, 500): [
-        (1, 20, 20, 0, 20, 0, 1),
-        (2, 190, 190, 0, 190, 0, 2),
-        (3, 1140, 0, 1140, 190, 0, 3),
+        (1, 20, 20, 20, 0),
+        (2, 190, 190, 190, 0),
+        (3, 1140, 0, 190, 0),
     ],
 }
 
@@ -212,7 +212,7 @@ class TestWideBorders:
         assert max(s.mfcs_size for s in result.trace.steps) == peak
         expected = [pincer.PassStats(*row) for row in WIDE_STEPS[n_items, n_transactions]]
         assert list(result.trace.steps) == expected
-        assert result.trace.passes == expected[-1].passes
+        assert result.trace.passes == expected[-1].k
 
         frequent = {
             to_mask(fs.itemset): fs.support_count
@@ -308,9 +308,9 @@ class TestOracleAgreement:
 
     def test_trace_pass_accounting(self, level1):
         result = pincer_search(level1, 3)
-        counts = [s.passes for s in result.trace.steps]
-        assert counts == sorted(counts)
-        assert result.trace.steps[-1].passes == result.trace.passes
+        ks = [s.k for s in result.trace.steps]
+        assert ks == list(range(1, len(ks) + 1))
+        assert ks[-1] == result.trace.passes
 
     def test_deterministic_across_runs(self, level1):
         a = pincer_search(level1, 3)
